@@ -57,25 +57,9 @@ def pochhammer(q: Rational, k: int) -> Fraction:
     return result
 
 
-def int_to_str(value: int) -> str:
-    """Serialize an exact integer as a plain decimal string."""
-    return str(int(value))
-
-
-def int_from_str(text: str) -> int:
-    """Parse a decimal string back to an exact integer."""
-    return int(text.strip())
-
-
-def rat_to_str(value: Rational) -> str:
-    """Serialize an exact rational as "p/q" in lowest terms, q > 0."""
-    value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def rat_from_str(text: str) -> Fraction:
-    """Parse a "p/q" (or bare integer) string back to an exact rational."""
-    return Fraction(text.strip())
+def half(n: Rational) -> Fraction:
+    """n / 2 as an exact rational."""
+    return Fraction(n, 2)
 
 
 def as_integer(value: Fraction, context: str) -> int:

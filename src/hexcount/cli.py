@@ -3,8 +3,9 @@
 Every data line this tool prints is deterministic: counts are plain
 decimal strings, probabilities appear as "p/q" followed by a
 12-significant-digit decimal in parentheses, and identical invocations
-produce byte-identical output.  Exit codes: 0 success, 1 usage or
-validation error (message on standard error), 2 verification failure.
+produce byte-identical output.  Exit codes: 0 success, 1 usage,
+validation or file error (message on standard error), 2 verification
+failure.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import bruteforce, factorcheck, formulas, pathcount
 from .factorcheck import CheckRecord
 from .formulas import AsymptoticInput, Method
 from .geometry import HexDims, ParityClass, RhombusPos, almost_central_pos, central_pos
-from .pathcount import HeatmapGrid, default_workers
+from .pathcount import HeatmapGrid
 
 
 class _UsageError(Exception):
@@ -157,18 +158,18 @@ _METHODS = {
 }
 
 
-def _cmd_total(args: argparse.Namespace, workers: int) -> int:
+def _cmd_total(args: argparse.Namespace) -> int:
     print(formulas.macmahon_total(_dims(args)))
     return 0
 
 
-def _cmd_count(args: argparse.Namespace, workers: int) -> int:
+def _cmd_count(args: argparse.Namespace) -> int:
     report = formulas.probability_report(_dims(args), RhombusPos(args.x, args.y), _METHODS[args.method])
     print(format_report(report))
     return 0
 
 
-def _cmd_distinguished(args: argparse.Namespace, workers: int) -> int:
+def _cmd_distinguished(args: argparse.Namespace) -> int:
     dims = _dims(args)
     pos = central_pos(dims) if args.which == "central" else almost_central_pos(dims)
     report = formulas.probability_report(dims, pos, _METHODS[args.method])
@@ -176,19 +177,19 @@ def _cmd_distinguished(args: argparse.Namespace, workers: int) -> int:
     return 0
 
 
-def _cmd_heatmap(args: argparse.Namespace, workers: int) -> int:
-    grid = pathcount.heatmap(_dims(args), workers=workers)
+def _cmd_heatmap(args: argparse.Namespace) -> int:
+    grid = pathcount.heatmap(_dims(args))
     _emit(heatmap_csv(grid) if args.format == "csv" else heatmap_json(grid), args.output)
     return 0
 
 
-def _cmd_asympt(args: argparse.Namespace, workers: int) -> int:
+def _cmd_asympt(args: argparse.Namespace) -> int:
     value = formulas.arcsin_probability(AsymptoticInput(args.alpha, args.beta, args.gamma))
     print(f"{value:.12g}")
     return 0
 
 
-def _cmd_converge(args: argparse.Namespace, workers: int) -> int:
+def _cmd_converge(args: argparse.Namespace) -> int:
     case = ParityClass.CENTRAL if args.case == "central" else ParityClass.ALMOST_CENTRAL
     records = formulas.convergence_experiment(
         AsymptoticInput(args.alpha, args.beta, args.gamma), case, args.sizes
@@ -296,14 +297,14 @@ def _core_suite(max_a: int) -> List[CheckRecord]:
     return records
 
 
-def _cmd_verify(args: argparse.Namespace, workers: int) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_a < 2:
         raise ValueError(f"--max-a must be at least 2, got {args.max_a}")
     records: List[CheckRecord] = []
     if args.suite in ("core", "all"):
         records.extend(_core_suite(args.max_a))
     if args.suite in ("detfactor", "all"):
-        records.extend(factorcheck.run_factor_suite(args.max_a, workers=workers))
+        records.extend(factorcheck.run_factor_suite(args.max_a))
     for record in records:
         print(record.line())
     failures = sum(1 for record in records if not record.passed)
@@ -325,9 +326,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as err:  # --help
         return int(err.code or 0)
     try:
-        workers = default_workers()
-        return args.func(args, workers)
-    except ValueError as err:
+        return args.func(args)
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

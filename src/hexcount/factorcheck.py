@@ -18,19 +18,22 @@ statements about them with exact rational arithmetic:
   claims: for suitable specializations c = -k or b = -k, an explicit
   weighted sum of rows vanishes (or reproduces the negated (k+1)-th row).
 
-Matrices here are small and rational, so determinants use plain exact
-Gaussian elimination rather than the fraction-free integer engine.
+Determinants clear each row's denominators and run the fraction-free
+integer engine of ``pathcount``.  The terminating sums inside the factored
+forms are the functions ``formulas`` uses for the closed-form counts, so
+grid certification checks the code that counts.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .arith import Rational, factorial, pochhammer
+from .arith import Rational, factorial, half, pochhammer
+from . import formulas, pathcount
 
 RatMatrix = List[List[Fraction]]
 
@@ -90,31 +93,20 @@ def build_poly_matrix(a: int, variant: MatrixVariant, b: Rational, c: Rational) 
 
 
 def det_rational(matrix: RatMatrix) -> Fraction:
-    """Exact determinant over the rationals by Gaussian elimination."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
+    """Exact determinant over the rationals.
+
+    Each row is scaled by the lcm of its denominators, the integer matrix
+    goes through ``det_fraction_free``, and the result is divided by the
+    product of the row scales.
+    """
+    rows = []
+    scale = 1
     for row in matrix:
-        if len(row) != n:
-            raise ValueError("determinant requires a square matrix")
-    m = [[Fraction(v) for v in row] for row in matrix]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
-        for r in range(k + 1, n):
-            factor = m[r][k] / pivot
-            if factor == 0:
-                continue
-            for col in range(k, n):
-                m[r][col] -= factor * m[k][col]
-    return det
+        row = [Fraction(v) for v in row]
+        row_scale = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (row_scale // v.denominator) for v in row])
+        scale *= row_scale
+    return Fraction(pathcount.det_fraction_free(rows), scale)
 
 
 def _shared_prefactor(a: int, b: Fraction, c: Fraction) -> Fraction:
@@ -126,10 +118,6 @@ def _shared_prefactor(a: int, b: Fraction, c: Fraction) -> Fraction:
     return value
 
 
-def _half(n: Rational) -> Fraction:
-    return Fraction(n) / 2
-
-
 def factored_det_central(a: int, b: Rational, c: Rational) -> Fraction:
     """Factored closed form of det(build_poly_matrix(a, CENTRAL, b, c))."""
     if a < 2:
@@ -139,41 +127,19 @@ def factored_det_central(a: int, b: Rational, c: Rational) -> Fraction:
     if a % 2 == 1:
         value *= (
             2 ** (a - 1)
-            * pochhammer(_half(b + 1), (a - 1) // 2) ** 2
-            * pochhammer(_half(c + 2), (a - 1) // 2)
-            * pochhammer(_half(1 + b + c), (a - 1) // 2)
+            * pochhammer(half(b + 1), (a - 1) // 2) ** 2
+            * pochhammer(half(c + 2), (a - 1) // 2)
+            * pochhammer(half(1 + b + c), (a - 1) // 2)
         )
-        acc = Fraction(0)
-        for k in range((a - 1) // 2 + 1):
-            tail = (a - 2 * k - 1) // 2
-            acc += (
-                pochhammer(_half(c + 1), k)
-                * pochhammer(_half(1 + b + c), k)
-                * pochhammer(_half(c + 2 * k + 2), tail)
-                * pochhammer(_half(b + c + 2 * k + 3), tail)
-                * pochhammer(_half(1), tail)
-                / pochhammer(1, tail)
-            )
     else:
         value *= (
             2 ** (a - 2)
             * b
-            * pochhammer(_half(b + 2), (a - 2) // 2) ** 2
-            * pochhammer(_half(c + 1), a // 2)
-            * pochhammer(_half(1 + b + c), a // 2)
+            * pochhammer(half(b + 2), (a - 2) // 2) ** 2
+            * pochhammer(half(c + 1), a // 2)
+            * pochhammer(half(1 + b + c), a // 2)
         )
-        acc = Fraction(0)
-        for k in range((a - 2) // 2 + 1):
-            tail = (a - 2 * k - 2) // 2
-            acc += (
-                pochhammer(_half(c + 2), k)
-                * pochhammer(_half(1 + b + c), k)
-                * pochhammer(_half(c + 2 * k + 3), tail)
-                * pochhammer(_half(b + c + 2 * k + 3), tail)
-                * pochhammer(_half(1), tail)
-                / pochhammer(1, tail)
-            )
-    return value * acc
+    return value * formulas.central_sum(a, b, c)
 
 
 def factored_det_almost_central(a: int, b: Rational, c: Rational) -> Fraction:
@@ -184,51 +150,18 @@ def factored_det_almost_central(a: int, b: Rational, c: Rational) -> Fraction:
     value = _shared_prefactor(a, b, c) * 2 ** (a - 1)
     if a % 2 == 1:
         value *= (
-            pochhammer(_half(b + 1), (a - 1) // 2) ** 2
-            * pochhammer(_half(c + 1), (a - 1) // 2)
-            * pochhammer(_half(2 + b + c), (a - 1) // 2)
+            pochhammer(half(b + 1), (a - 1) // 2) ** 2
+            * pochhammer(half(c + 1), (a - 1) // 2)
+            * pochhammer(half(2 + b + c), (a - 1) // 2)
         )
-        head = (a - 1) // 2
-        bracket = (
-            pochhammer(_half(c + 1), head)
-            * pochhammer(_half(b + c + 2), head)
-            * pochhammer(_half(1), head)
-            / pochhammer(1, head)
-        )
-        for k in range(1, (a - 1) // 2 + 1):
-            tail = (a - 2 * k - 1) // 2
-            bracket += (
-                pochhammer(_half(c + 2), k - 1)
-                * pochhammer(_half(b + c), k)
-                * pochhammer(_half(c + 2 * k + 1), (a - 2 * k + 1) // 2)
-                * pochhammer(_half(b + c + 2 * k + 2), tail)
-                * pochhammer(_half(1), tail)
-                / pochhammer(1, tail)
-            )
     else:
         value *= (
-            pochhammer(_half(b), a // 2)
-            * pochhammer(_half(b + 2), (a - 2) // 2)
-            * pochhammer(_half(c + 2), (a - 2) // 2)
-            * pochhammer(_half(2 + b + c), (a - 2) // 2)
+            pochhammer(half(b), a // 2)
+            * pochhammer(half(b + 2), (a - 2) // 2)
+            * pochhammer(half(c + 2), (a - 2) // 2)
+            * pochhammer(half(2 + b + c), (a - 2) // 2)
         )
-        bracket = (
-            pochhammer(_half(c + 2), (a - 2) // 2)
-            * pochhammer(_half(b + c + 2), a // 2)
-            * pochhammer(_half(1), a // 2)
-            / pochhammer(1, (a - 2) // 2)
-        )
-        for k in range(1, a // 2 + 1):
-            tail = (a - 2 * k) // 2
-            bracket += (
-                pochhammer(_half(c + 1), k)
-                * pochhammer(_half(b + c), k)
-                * pochhammer(_half(c + 2 * k + 2), tail)
-                * pochhammer(_half(b + c + 2 * k + 2), tail)
-                * pochhammer(_half(1), tail)
-                / pochhammer(1, tail)
-            )
-    return value * bracket
+    return value * formulas.almost_central_sum(a, b, c)
 
 
 def p_poly(n: int, c: Rational) -> Fraction:
@@ -238,7 +171,7 @@ def p_poly(n: int, c: Rational) -> Fraction:
     c = Fraction(c)
     return sum(
         (
-            pochhammer(_half(1 + c - n), n - h - 1) * pochhammer(_half(1 + c - 2 * h + n), h)
+            pochhammer(half(1 + c - n), n - h - 1) * pochhammer(half(1 + c - 2 * h + n), h)
             for h in range(n)
         ),
         Fraction(0),
@@ -258,12 +191,12 @@ def _c_factor_coeffs(a: int, k: int, b: Fraction, shifted: bool) -> Dict[int, Fr
         m = a - k + 1 - i
         if shifted:
             sign = (-1) ** (i - 1)
-            rising = pochhammer(_half(-a + k - 2 + 2 * i), m)
+            rising = pochhammer(half(-a + k - 2 + 2 * i), m)
         else:
             sign = (-1) ** i
-            rising = pochhammer(_half(-a + k - 1 + 2 * i), m)
+            rising = pochhammer(half(-a + k - 1 + 2 * i), m)
         numerator = sign * pochhammer(b + i, m) * rising
-        denominator = pochhammer(1, m) * pochhammer(_half(b - a + 2 * i - 2), m)
+        denominator = pochhammer(1, m) * pochhammer(half(b - a + 2 * i - 2), m)
         coeffs[i] = _ratio(numerator, denominator)
     return coeffs
 
@@ -283,9 +216,9 @@ def _b_factor_coeffs(a: int, k: int, c: Fraction, second: bool, shifted: bool) -
         numerator = (
             (-1) ** (i - k)
             * pochhammer(c + a - i + 2, length)
-            * pochhammer(_half(a + k - 2 * i + 4), rising_len)
+            * pochhammer(half(a + k - 2 * i + 4), rising_len)
         )
-        denominator = pochhammer(1, i - k - 1) * pochhammer(_half(c + a - 2 * i + den_shift), i - k - 2) ** 2
+        denominator = pochhammer(1, i - k - 1) * pochhammer(half(c + a - 2 * i + den_shift), i - k - 2) ** 2
         coeffs[i] = _ratio(numerator, denominator) * poly
     return coeffs
 
@@ -397,29 +330,17 @@ def grid_values(a: int) -> range:
     return range(-6, -6 + max(13, degree_bound(a) + 2))
 
 
-def check_factorization(a: int, variant: MatrixVariant, workers: int = 1) -> CheckRecord:
+def check_factorization(a: int, variant: MatrixVariant) -> CheckRecord:
     """Certify det == factored closed form on the full integer grid for one a."""
     rhs = factored_det_central if variant is MatrixVariant.CENTRAL else factored_det_almost_central
     values = grid_values(a)
-
-    def defect_at(b: int) -> Optional[Tuple[int, int, Fraction]]:
-        for c in values:
-            lhs = det_rational(build_poly_matrix(a, variant, b, c))
-            expected = rhs(a, b, c)
-            if lhs != expected:
-                return b, c, lhs - expected
-        return None
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            defects = [d for d in pool.map(defect_at, values) if d is not None]
-    else:
-        defects = [d for b in values if (d := defect_at(b)) is not None]
     name = "DET_FACTOR_CENTRAL" if variant is MatrixVariant.CENTRAL else "DET_FACTOR_ALMOST_CENTRAL"
     params = {"a": str(a), "grid": f"{values.start}..{values[-1]}"}
-    if defects:
-        b, c, defect = defects[0]
-        return CheckRecord(name, {**params, "point": f"({b},{c})"}, False, str(defect))
+    for b in values:
+        for c in values:
+            defect = det_rational(build_poly_matrix(a, variant, b, c)) - rhs(a, b, c)
+            if defect != 0:
+                return CheckRecord(name, {**params, "point": f"({b},{c})"}, False, str(defect))
     return CheckRecord(name, params, True, "0")
 
 
@@ -469,12 +390,12 @@ def check_identity(
     return CheckRecord(identity.name, params, True, "0")
 
 
-def run_factor_suite(max_a: int = 6, workers: int = 1) -> List[CheckRecord]:
+def run_factor_suite(max_a: int = 6) -> List[CheckRecord]:
     """Grid-certify both factorizations and all row combinations up to max_a."""
     records = []
     for a in range(2, max_a + 1):
         for variant in MatrixVariant:
-            records.append(check_factorization(a, variant, workers=workers))
+            records.append(check_factorization(a, variant))
     for identity in RowIdentity:
         for a in range(2, max_a + 1):
             for k in admissible_k(identity, a):

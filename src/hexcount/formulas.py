@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
 
-from .arith import as_integer, binomial, pochhammer
+from .arith import Rational, as_integer, binomial, half, pochhammer
 from .geometry import (
     HexDims,
     ParityClass,
@@ -56,7 +56,7 @@ class CountReport:
 
 @dataclass(frozen=True)
 class AsymptoticInput:
-    """Nonnegative side proportions (alpha, beta, gamma), not all zero."""
+    """Finite nonnegative side proportions (alpha, beta, gamma), not all zero."""
 
     alpha: float
     beta: float
@@ -64,6 +64,8 @@ class AsymptoticInput:
 
     def __post_init__(self) -> None:
         values = (self.alpha, self.beta, self.gamma)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"proportions must be finite, got {values}")
         if any(v < 0 for v in values):
             raise ValueError(f"proportions must be nonnegative, got {values}")
         if all(v == 0 for v in values):
@@ -119,8 +121,80 @@ def triple_sum_count(dims: HexDims, pos: RhombusPos) -> int:
     return as_integer(value, f"triple_sum_count at ({x}, {y})")
 
 
-def _half(n: int) -> Fraction:
-    return Fraction(n, 2)
+def central_sum(a: int, b: Rational, c: Rational) -> Fraction:
+    """The terminating sum in the central closed form, either parity of a.
+
+    ``closed_central`` multiplies it by its prefactor, and so does the
+    factored determinant in ``factorcheck``, where b and c are rational.
+    """
+    acc = Fraction(0)
+    if a % 2 == 1:
+        for k in range((a - 1) // 2 + 1):
+            tail = (a - 2 * k - 1) // 2
+            acc += (
+                pochhammer(half(c + 1), k)
+                * pochhammer(half(1 + b + c), k)
+                * pochhammer(half(c + 2 * k + 2), tail)
+                * pochhammer(half(b + c + 2 * k + 3), tail)
+                * pochhammer(half(1), tail)
+                / pochhammer(1, tail)
+            )
+    else:
+        for k in range((a - 2) // 2 + 1):
+            tail = (a - 2 * k - 2) // 2
+            acc += (
+                pochhammer(half(c + 2), k)
+                * pochhammer(half(1 + b + c), k)
+                * pochhammer(half(c + 2 * k + 3), tail)
+                * pochhammer(half(b + c + 2 * k + 3), tail)
+                * pochhammer(half(1), tail)
+                / pochhammer(1, tail)
+            )
+    return acc
+
+
+def almost_central_sum(a: int, b: Rational, c: Rational) -> Fraction:
+    """The terminating sum in the almost-central closed form, either parity of a.
+
+    Shared like ``central_sum`` with the factored determinant in
+    ``factorcheck``.
+    """
+    if a % 2 == 1:
+        head = (a - 1) // 2
+        acc = (
+            pochhammer(half(c + 1), head)
+            * pochhammer(half(b + c + 2), head)
+            * pochhammer(half(1), head)
+            / pochhammer(1, head)
+        )
+        for k in range(1, (a - 1) // 2 + 1):
+            tail = (a - 2 * k - 1) // 2
+            acc += (
+                pochhammer(half(c + 2), k - 1)
+                * pochhammer(half(b + c), k)
+                * pochhammer(half(c + 2 * k + 1), (a - 2 * k + 1) // 2)
+                * pochhammer(half(b + c + 2 * k + 2), tail)
+                * pochhammer(half(1), tail)
+                / pochhammer(1, tail)
+            )
+    else:
+        acc = (
+            pochhammer(half(c + 2), (a - 2) // 2)
+            * pochhammer(half(b + c + 2), a // 2)
+            * pochhammer(half(1), a // 2)
+            / pochhammer(1, (a - 2) // 2)
+        )
+        for k in range(1, a // 2 + 1):
+            tail = (a - 2 * k) // 2
+            acc += (
+                pochhammer(half(c + 1), k)
+                * pochhammer(half(b + c), k)
+                * pochhammer(half(c + 2 * k + 2), tail)
+                * pochhammer(half(b + c + 2 * k + 2), tail)
+                * pochhammer(half(1), tail)
+                / pochhammer(1, tail)
+            )
+    return acc
 
 
 def closed_central(dims: HexDims) -> int:
@@ -138,17 +212,6 @@ def closed_central(dims: HexDims) -> int:
             * binomial((a + b + c - 2) // 2, (b - 1) // 2)
             * 2 ** (a - 1)
         )
-        acc = Fraction(0)
-        for k in range((a - 1) // 2 + 1):
-            tail = (a - 2 * k - 1) // 2
-            acc += (
-                pochhammer(_half(c + 1), k)
-                * pochhammer(_half(1 + b + c), k)
-                * pochhammer(_half(c + 2 * k + 2), tail)
-                * pochhammer(_half(b + c + 2 * k + 3), tail)
-                * pochhammer(_half(1), tail)
-                / pochhammer(1, tail)
-            )
     else:
         # a, b even and c odd.
         prefactor = (
@@ -160,18 +223,7 @@ def closed_central(dims: HexDims) -> int:
             * binomial((a + b + c - 1) // 2, b // 2)
             * 2 ** (a - 2)
         )
-        acc = Fraction(0)
-        for k in range((a - 2) // 2 + 1):
-            tail = (a - 2 * k - 2) // 2
-            acc += (
-                pochhammer(_half(c + 2), k)
-                * pochhammer(_half(1 + b + c), k)
-                * pochhammer(_half(c + 2 * k + 3), tail)
-                * pochhammer(_half(b + c + 2 * k + 3), tail)
-                * pochhammer(_half(1), tail)
-                / pochhammer(1, tail)
-            )
-    return as_integer(prefactor * acc, "closed_central")
+    return as_integer(prefactor * central_sum(a, b, c), "closed_central")
 
 
 def closed_almost_central(dims: HexDims) -> int:
@@ -189,23 +241,6 @@ def closed_almost_central(dims: HexDims) -> int:
             * binomial((a + b + c - 1) // 2, (b - 1) // 2)
             * 2 ** (a - 1)
         )
-        head_tail = (a - 1) // 2
-        bracket = (
-            pochhammer(_half(c + 1), head_tail)
-            * pochhammer(_half(b + c + 2), head_tail)
-            * pochhammer(_half(1), head_tail)
-            / pochhammer(1, head_tail)
-        )
-        for k in range(1, (a - 1) // 2 + 1):
-            tail = (a - 2 * k - 1) // 2
-            bracket += (
-                pochhammer(_half(c + 2), k - 1)
-                * pochhammer(_half(b + c), k)
-                * pochhammer(_half(c + 2 * k + 1), (a - 2 * k + 1) // 2)
-                * pochhammer(_half(b + c + 2 * k + 2), tail)
-                * pochhammer(_half(1), tail)
-                / pochhammer(1, tail)
-            )
     else:
         # a, b, c all even.
         prefactor = (
@@ -216,23 +251,7 @@ def closed_almost_central(dims: HexDims) -> int:
             * binomial((a + b + c - 2) // 2, (b - 2) // 2)
             * 2**a
         )
-        bracket = (
-            pochhammer(_half(c + 2), (a - 2) // 2)
-            * pochhammer(_half(b + c + 2), a // 2)
-            * pochhammer(_half(1), a // 2)
-            / pochhammer(1, (a - 2) // 2)
-        )
-        for k in range(1, a // 2 + 1):
-            tail = (a - 2 * k) // 2
-            bracket += (
-                pochhammer(_half(c + 1), k)
-                * pochhammer(_half(b + c), k)
-                * pochhammer(_half(c + 2 * k + 2), tail)
-                * pochhammer(_half(b + c + 2 * k + 2), tail)
-                * pochhammer(_half(1), tail)
-                / pochhammer(1, tail)
-            )
-    return as_integer(prefactor * bracket, "closed_almost_central")
+    return as_integer(prefactor * almost_central_sum(a, b, c), "closed_almost_central")
 
 
 def _closed_form_count(dims: HexDims, pos: RhombusPos) -> int:

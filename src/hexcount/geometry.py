@@ -45,7 +45,7 @@ class PathPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class HexDims:
-    """Side lengths of an a,b,c,a,b,c hexagon; all must be >= 1."""
+    """Side lengths of an a,b,c,a,b,c hexagon; each an int >= 1 (bool is refused)."""
 
     a: int
     b: int
@@ -54,7 +54,7 @@ class HexDims:
     def __post_init__(self) -> None:
         for name in ("a", "b", "c"):
             side = getattr(self, name)
-            if not isinstance(side, int) or side < 1:
+            if type(side) is not int or side < 1:
                 raise ValueError(f"side {name} must be an integer >= 1, got {side!r}")
 
     @property
@@ -78,13 +78,16 @@ class HexDims:
 
 @dataclass(frozen=True)
 class RhombusPos:
-    """Address of a horizontal rhombus: the end point (x, y) of its RIGHT step."""
+    """Address of a horizontal rhombus: the end point (x, y) of its RIGHT step.
+
+    Both coordinates must be ints; bool is refused.
+    """
 
     x: int
     y: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
+        if type(self.x) is not int or type(self.y) is not int:
             raise ValueError(f"rhombus position must be integral, got ({self.x!r}, {self.y!r})")
 
 

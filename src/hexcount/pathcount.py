@@ -21,11 +21,9 @@ integers, every division is exact, and row pivoting only flips the sign.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .geometry import HexDims, RhombusPos, check_position, endpoints, extra_pair, path_count
 
@@ -47,6 +45,7 @@ def det_fraction_free(matrix: IntMatrix) -> int:
 
     Swaps rows to find pivots (each swap flips the sign); a fully zero
     pivot column means the matrix is singular and the determinant is 0.
+    Entries must be integral (int, or a Fraction with denominator 1).
     """
     n = len(matrix)
     if n == 0:
@@ -55,6 +54,8 @@ def det_fraction_free(matrix: IntMatrix) -> int:
         if len(row) != n:
             raise ValueError("determinant requires a square matrix")
     m = [list(map(int, row)) for row in matrix]
+    if m != [list(row) for row in matrix]:
+        raise ValueError("determinant requires integral entries")
     sign = 1
     prev_pivot = 1
     for k in range(n - 1):
@@ -98,34 +99,13 @@ class HeatmapGrid:
         return list(self.dims.positions())
 
 
-def default_workers() -> int:
-    """Worker cap from HEXCOUNT_THREADS; defaults to 1 (sequential)."""
-    raw = os.environ.get("HEXCOUNT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"HEXCOUNT_THREADS must be a positive integer, got {raw!r}")
-    if workers < 1:
-        raise ValueError(f"HEXCOUNT_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
-def heatmap(dims: HexDims, workers: Optional[int] = None) -> HeatmapGrid:
+def heatmap(dims: HexDims) -> HeatmapGrid:
     """Occupation count for every box position, plus the tiling total.
 
-    Cell order and values are deterministic regardless of worker count;
-    unreachable positions go through the same determinant (yielding 0).
+    Cells come in row-major order; unreachable positions go through the
+    same determinant (yielding 0).
     """
     from .formulas import macmahon_total  # local import to avoid a cycle
 
-    if workers is None:
-        workers = default_workers()
-    positions = list(dims.positions())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda p: count_fixed(dims, p), positions))
-    else:
-        values = [count_fixed(dims, p) for p in positions]
-    return HeatmapGrid(dims=dims, total=macmahon_total(dims), counts=dict(zip(positions, values)))
+    counts = {pos: count_fixed(dims, pos) for pos in dims.positions()}
+    return HeatmapGrid(dims=dims, total=macmahon_total(dims), counts=counts)

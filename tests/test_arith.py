@@ -11,11 +11,8 @@ from hexcount.arith import (
     as_integer,
     binomial,
     factorial,
-    int_from_str,
-    int_to_str,
+    half,
     pochhammer,
-    rat_from_str,
-    rat_to_str,
 )
 
 
@@ -88,24 +85,11 @@ class TestPochhammer:
         assert pochhammer(n, k) == Fraction(factorial(n + k - 1), factorial(n - 1))
 
 
-class TestSerialization:
-    @given(st.integers())
-    def test_int_round_trip(self, n):
-        assert int_from_str(int_to_str(n)) == n
-
-    @given(st.fractions(max_denominator=10**6))
-    def test_rat_round_trip(self, q):
-        assert rat_from_str(rat_to_str(q)) == q
-
-    def test_rat_format(self):
-        assert rat_to_str(Fraction(3, 10)) == "3/10"
-        assert rat_to_str(Fraction(4)) == "4/1"
-        assert rat_from_str("7/2") == Fraction(7, 2)
-
-    def test_no_separators_in_big_int(self):
-        text = int_to_str(factorial(40))
-        assert text == str(math.factorial(40))
-        assert "," not in text and "_" not in text
+class TestHalf:
+    def test_integer_and_rational_arguments(self):
+        assert half(3) == Fraction(3, 2)
+        assert half(-4) == -2
+        assert half(Fraction(1, 3)) == Fraction(1, 6)
 
 
 class TestAsInteger:

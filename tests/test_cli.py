@@ -124,17 +124,13 @@ class TestHeatmap:
         second = run(capsys, "heatmap", "-a", "2", "-b", "3", "-c", "1")
         assert first == second
 
-    def test_thread_env_parallel_output_identical(self, capsys, monkeypatch):
-        baseline = run(capsys, "heatmap", "-a", "2", "-b", "2", "-c", "2")
-        monkeypatch.setenv("HEXCOUNT_THREADS", "4")
-        threaded = run(capsys, "heatmap", "-a", "2", "-b", "2", "-c", "2")
-        assert threaded == baseline
-
-    def test_bad_thread_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("HEXCOUNT_THREADS", "zero")
-        code, _, err = run(capsys, "heatmap", "-a", "1", "-b", "1", "-c", "1")
+    def test_unwritable_output_is_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "heatmap", "-a", "1", "-b", "1", "-c", "1", "-o", str(target))
         assert code == 1
-        assert "HEXCOUNT_THREADS" in err
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
 
 
 class TestAsympt:
@@ -147,6 +143,13 @@ class TestAsympt:
         code, _, err = run(capsys, "asympt", "--alpha", "1", "--beta", "0", "--gamma", "0")
         assert code == 1
         assert "degenerate" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, capsys, value):
+        code, out, err = run(capsys, "asympt", f"--alpha={value}", "--beta", "1", "--gamma", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
 
 
 class TestConverge:
@@ -198,6 +201,15 @@ class TestVerify:
         assert set(records[0]) == {"identity", "params", "pass", "residual"}
         assert all(r["pass"] for r in records)
 
+    def test_unwritable_json_is_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "v.json"
+        code, _, err = run(
+            capsys, "verify", "--suite", "detfactor", "--max-a", "2", "--json", str(target)
+        )
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
     def test_max_a_below_two_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--max-a", "1")
         assert code == 1
@@ -209,7 +221,7 @@ class TestVerify:
 
         failing = CheckRecord("DET_FACTOR_CENTRAL", {"a": "2"}, False, "1/2")
         monkeypatch.setattr(
-            factorcheck, "run_factor_suite", lambda max_a, workers=1: [failing]
+            factorcheck, "run_factor_suite", lambda max_a: [failing]
         )
         code, out, _ = run(capsys, "verify", "--suite", "detfactor", "--max-a", "2")
         assert code == 2

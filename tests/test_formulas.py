@@ -182,6 +182,13 @@ class TestArcsinProbability:
         with pytest.raises(ValueError, match="degenerate"):
             arcsin_probability(AsymptoticInput(1, 0, 0))
 
+    @pytest.mark.parametrize(
+        "values", [(math.nan, 1, 1), (1, math.inf, 1), (1, 1, -math.inf), (math.inf, math.inf, math.inf)]
+    )
+    def test_non_finite_inputs_rejected(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            AsymptoticInput(*values)
+
 
 class TestNearestDims:
     def test_rounds_and_repairs_parity(self):

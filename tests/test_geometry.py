@@ -32,6 +32,11 @@ class TestHexDims:
         with pytest.raises(ValueError):
             HexDims(1.5, 1, 1)
 
+    @pytest.mark.parametrize("sides", [(True, 2, 2), (2, True, 2), (2, 2, True)])
+    def test_bool_side_rejected(self, sides):
+        with pytest.raises(ValueError):
+            HexDims(*sides)
+
     @pytest.mark.parametrize(
         "sides,expected",
         [
@@ -77,6 +82,11 @@ class TestCheckPosition:
     def test_position_must_be_integral(self):
         with pytest.raises(ValueError):
             RhombusPos(1.5, 0)
+
+    @pytest.mark.parametrize("pos", [(True, 0), (0, False)])
+    def test_bool_position_rejected(self, pos):
+        with pytest.raises(ValueError):
+            RhombusPos(*pos)
 
 
 class TestEndpoints:

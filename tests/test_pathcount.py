@@ -1,6 +1,7 @@
 """Determinant counting route: matrix construction, Bareiss, heatmaps."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from hexcount.geometry import HexDims, RhombusPos
 from hexcount.pathcount import (
     build_lgv_matrix,
     count_fixed,
-    default_workers,
     det_fraction_free,
     heatmap,
 )
@@ -72,6 +72,13 @@ class TestDetFractionFree:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             det_fraction_free([[1, 2, 3], [4, 5, 6]])
+
+    def test_non_integral_entry_rejected(self):
+        with pytest.raises(ValueError, match="integral"):
+            det_fraction_free([[Fraction(1, 2)]])
+        with pytest.raises(ValueError, match="integral"):
+            det_fraction_free([[1, 2], [3, Fraction(7, 3)]])
+        assert det_fraction_free([[Fraction(4, 2), 1], (0, 3)]) == 6
 
     def test_against_cofactor_expansion(self):
         rng = random.Random(20260819)
@@ -136,27 +143,5 @@ class TestHeatmap:
         assert len(rows) == 6
 
     def test_probability_is_exact(self):
-        from fractions import Fraction
-
         grid = heatmap(HexDims(2, 2, 2))
         assert grid.probability(RhombusPos(2, 2)) == Fraction(3, 10)
-
-    def test_parallel_equals_sequential(self):
-        dims = HexDims(2, 3, 2)
-        assert heatmap(dims, workers=4).counts == heatmap(dims, workers=1).counts
-
-
-class TestDefaultWorkers:
-    def test_unset_means_sequential(self, monkeypatch):
-        monkeypatch.delenv("HEXCOUNT_THREADS", raising=False)
-        assert default_workers() == 1
-
-    def test_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("HEXCOUNT_THREADS", "6")
-        assert default_workers() == 6
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "abc", "1.5"])
-    def test_invalid_values_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("HEXCOUNT_THREADS", bad)
-        with pytest.raises(ValueError, match="HEXCOUNT_THREADS"):
-            default_workers()
