@@ -28,6 +28,7 @@ CASES = {
     "almost_central_even_a": ["almost-central", "-a", "4", "-b", "2", "-c", "6"],
     "heatmap_csv": ["heatmap", "-a", "3", "-b", "2", "-c", "3", "--format", "csv"],
     "heatmap_json": ["heatmap", "-a", "3", "-b", "2", "-c", "3", "--format", "json"],
+    "heatmap_skew_csv": ["heatmap", "-a", "5", "-b", "3", "-c", "7", "--format", "csv"],
     "asympt": ["asympt", "--alpha", "1", "--beta", "2", "--gamma", "3"],
     "converge_central": [
         "converge", "--alpha", "1", "--beta", "1", "--gamma", "1",
