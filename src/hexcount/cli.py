@@ -224,10 +224,16 @@ def _core_suite(max_a: int) -> List[CheckRecord]:
     for a, b, c in small:
         dims = HexDims(a, b, c)
         occupation = bruteforce.oracle_occupation(dims)
+        grid = pathcount.heatmap(dims)
         bad = sum(
             1
             for pos, expected in occupation.items()
-            if not (expected == pathcount.count_fixed(dims, pos) == formulas.triple_sum_count(dims, pos))
+            if not (
+                expected
+                == grid.counts[pos]
+                == pathcount.count_fixed(dims, pos)
+                == formulas.triple_sum_count(dims, pos)
+            )
         )
         records.append(
             CheckRecord(
@@ -242,7 +248,7 @@ def _core_suite(max_a: int) -> List[CheckRecord]:
         for b in range(1, min(max_a, 5) + 1):
             for c in range(1, min(max_a, 5) + 1):
                 dims = HexDims(a, b, c)
-                lhs = sum(pathcount.count_fixed(dims, pos) for pos in dims.positions())
+                lhs = sum(pathcount.heatmap(dims).counts.values())
                 rhs = a * b * formulas.macmahon_total(dims)
                 records.append(
                     CheckRecord(

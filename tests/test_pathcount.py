@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexcount.bruteforce import oracle_count_fixed
+from hexcount.bruteforce import oracle_count_fixed, oracle_occupation
 from hexcount.formulas import macmahon_total
 from hexcount.geometry import HexDims, RhombusPos
 from hexcount.pathcount import (
+    adjugate,
     build_lgv_matrix,
     count_fixed,
     det_fraction_free,
@@ -95,6 +96,54 @@ class TestDetFractionFree:
         assert det_fraction_free(matrix) == det_fraction_free(transpose)
 
 
+def mat_mul(left, right):
+    return [[sum(l * r for l, r in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+class TestAdjugate:
+    def test_known_values(self):
+        assert adjugate([[5]]) == (5, [[1]])
+        assert adjugate([[1, 2], [3, 4]]) == (-2, [[4, -2], [-3, 1]])
+        assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+
+    def test_random_matrices_against_bareiss(self):
+        rng = random.Random(20261018)
+        checked = 0
+        while checked < 100:
+            n = rng.randint(1, 6)
+            matrix = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+            if checked % 3 == 0:
+                matrix[0][0] = 0  # forces a row swap at the first pivot
+            det = det_fraction_free(matrix)
+            if det == 0:
+                continue
+            got_det, adj = adjugate(matrix)
+            assert got_det == det
+            identity = [[det * (i == j) for j in range(n)] for i in range(n)]
+            assert mat_mul(matrix, adj) == identity
+            assert mat_mul(adj, matrix) == identity
+            checked += 1
+
+    def test_input_is_not_modified(self):
+        matrix = [[0, 2, 1], [1, 0, 0], [0, 0, 3]]
+        adjugate(matrix)
+        assert matrix == [[0, 2, 1], [1, 0, 0], [0, 0, 3]]
+
+    def test_singular_rejected(self):
+        with pytest.raises(ValueError, match="nonsingular"):
+            adjugate([[1, 2], [2, 4]])
+        with pytest.raises(ValueError, match="nonsingular"):
+            adjugate([[0, 0], [0, 0]])
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            adjugate([[1, 2, 3], [4, 5, 6]])
+
+    def test_non_integral_entry_rejected(self):
+        with pytest.raises(ValueError, match="integral"):
+            adjugate([[1, 2], [3, Fraction(7, 3)]])
+
+
 class TestCountFixed:
     @pytest.mark.parametrize(
         "sides,pos,expected",
@@ -145,3 +194,21 @@ class TestHeatmap:
     def test_probability_is_exact(self):
         grid = heatmap(HexDims(2, 2, 2))
         assert grid.probability(RhombusPos(2, 2)) == Fraction(3, 10)
+
+    @pytest.mark.parametrize(
+        "sides",
+        [(a, b, c) for a in range(1, 6) for b in range(1, 6) for c in range(1, 6)] + [(9, 4, 13), (6, 10, 10)],
+    )
+    def test_matches_count_fixed_and_macmahon_total(self, sides):
+        dims = HexDims(*sides)
+        grid = heatmap(dims)
+        assert grid.total == macmahon_total(dims)
+        assert list(grid.counts) == list(dims.positions())
+        assert grid.counts == {pos: count_fixed(dims, pos) for pos in dims.positions()}
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+    def test_matches_count_fixed_and_oracle(self, a, b, c):
+        dims = HexDims(a, b, c)
+        counts = heatmap(dims).counts
+        assert counts == {pos: count_fixed(dims, pos) for pos in dims.positions()} == oracle_occupation(dims)
