@@ -39,6 +39,7 @@ CASES = {
         "--case", "almost-central", "--sizes", "3,5,9,15",
     ],
     "verify_all": ["verify", "--suite", "all", "--max-a", "4"],
+    "verify_core_max6": ["verify", "--suite", "core", "--max-a", "6"],
 }
 
 
