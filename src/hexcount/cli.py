@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from . import bruteforce, factorcheck, formulas, pathcount
-from .factorcheck import CheckRecord
+from . import formulas, pathcount
+from .checks import SUITES
 from .formulas import AsymptoticInput, Method
 from .geometry import HexDims, ParityClass, RhombusPos, almost_central_pos, central_pos
 from .pathcount import HeatmapGrid
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.set_defaults(func=_cmd_converge)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites, print PASS/FAIL lines")
-    p_verify.add_argument("--suite", choices=["core", "detfactor", "all"], default="all")
+    p_verify.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p_verify.add_argument("--max-a", type=int, default=5, dest="max_a")
     p_verify.add_argument("--json", default=None, dest="json_path", help="also write records as JSON")
     p_verify.set_defaults(func=_cmd_verify)
@@ -113,10 +114,12 @@ def format_report(report: formulas.CountReport) -> str:
 
 
 def heatmap_csv(grid: HeatmapGrid) -> str:
+    # grid.counts is in row-major order; one gcd per cell reduces count/total.
+    total = grid.total
     lines = ["x,y,count,total,probability"]
-    for pos in grid.rows():
-        p = grid.probability(pos)
-        lines.append(f"{pos.x},{pos.y},{grid.counts[pos]},{grid.total},{p.numerator}/{p.denominator}")
+    for pos, count in grid.counts.items():
+        g = math.gcd(count, total)
+        lines.append(f"{pos.x},{pos.y},{count},{total},{count // g}/{total // g}")
     return "\n".join(lines) + "\n"
 
 
@@ -150,21 +153,13 @@ def _emit(text: str, path: Optional[str]) -> None:
             handle.write(text)
 
 
-_METHODS = {
-    "lgv": Method.LGV,
-    "triple": Method.TRIPLE_SUM,
-    "oracle": Method.ORACLE,
-    "closed": Method.CLOSED_FORM,
-}
-
-
 def _cmd_total(args: argparse.Namespace) -> int:
     print(formulas.macmahon_total(_dims(args)))
     return 0
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    report = formulas.probability_report(_dims(args), RhombusPos(args.x, args.y), _METHODS[args.method])
+    report = formulas.probability_report(_dims(args), RhombusPos(args.x, args.y), Method(args.method))
     print(format_report(report))
     return 0
 
@@ -172,7 +167,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_distinguished(args: argparse.Namespace) -> int:
     dims = _dims(args)
     pos = central_pos(dims) if args.which == "central" else almost_central_pos(dims)
-    report = formulas.probability_report(dims, pos, _METHODS[args.method])
+    report = formulas.probability_report(dims, pos, Method(args.method))
     print(format_report(report))
     return 0
 
@@ -198,127 +193,17 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _core_suite(max_a: int) -> List[CheckRecord]:
-    """Counting-layer checks: oracle agreement, route agreement, sum rule, spots."""
-    records = []
-
-    oracle_cap = min(3, max_a)
-    small = [
-        (a, b, c)
-        for a in range(1, oracle_cap + 1)
-        for b in range(1, oracle_cap + 1)
-        for c in range(1, oracle_cap + 1)
-    ]
-    for a, b, c in small + [(1, 2, 3), (2, 1, 4), (1, 4, 2), (4, 1, 1)]:
-        dims = HexDims(a, b, c)
-        total = formulas.macmahon_total(dims)
-        enumerated = bruteforce.enumerate_families(dims)
-        records.append(
-            CheckRecord(
-                "ORACLE_TOTAL",
-                {"a": str(a), "b": str(b), "c": str(c)},
-                enumerated == total,
-                str(enumerated - total),
-            )
-        )
-    for a, b, c in small:
-        dims = HexDims(a, b, c)
-        occupation = bruteforce.oracle_occupation(dims)
-        grid = pathcount.heatmap(dims)
-        bad = sum(
-            1
-            for pos, expected in occupation.items()
-            if not (
-                expected
-                == grid.counts[pos]
-                == pathcount.count_fixed(dims, pos)
-                == formulas.triple_sum_count(dims, pos)
-            )
-        )
-        records.append(
-            CheckRecord(
-                "ORACLE_BOX",
-                {"a": str(a), "b": str(b), "c": str(c)},
-                bad == 0,
-                str(bad) if bad else "0",
-            )
-        )
-
-    for a in range(1, min(max_a, 5) + 1):
-        for b in range(1, min(max_a, 5) + 1):
-            for c in range(1, min(max_a, 5) + 1):
-                dims = HexDims(a, b, c)
-                lhs = sum(pathcount.heatmap(dims).counts.values())
-                rhs = a * b * formulas.macmahon_total(dims)
-                records.append(
-                    CheckRecord(
-                        "SUM_RULE",
-                        {"a": str(a), "b": str(b), "c": str(c)},
-                        lhs == rhs,
-                        str(lhs - rhs),
-                    )
-                )
-
-    for a in range(1, max_a + 1):
-        for b in range(1, max_a + 1):
-            for c in range(1, max_a + 1):
-                dims = HexDims(a, b, c)
-                parity = dims.parity_class
-                if parity is ParityClass.CENTRAL:
-                    name, pos, closed = "ROUTES_CENTRAL", central_pos(dims), formulas.closed_central(dims)
-                elif parity is ParityClass.ALMOST_CENTRAL:
-                    name, pos, closed = (
-                        "ROUTES_ALMOST_CENTRAL",
-                        almost_central_pos(dims),
-                        formulas.closed_almost_central(dims),
-                    )
-                else:
-                    continue
-                det = pathcount.count_fixed(dims, pos)
-                triple = formulas.triple_sum_count(dims, pos)
-                records.append(
-                    CheckRecord(
-                        name,
-                        {"a": str(a), "b": str(b), "c": str(c)},
-                        closed == det == triple,
-                        f"({closed - det},{triple - det})",
-                    )
-                )
-
-    spot_central = formulas.probability_report(HexDims(1, 1, 2), central_pos(HexDims(1, 1, 2)), Method.CLOSED_FORM)
-    spot_oracle = bruteforce.oracle_count_fixed(HexDims(1, 1, 2), central_pos(HexDims(1, 1, 2)))
-    ok = spot_central.probability == Fraction(1, 3) and spot_oracle == spot_central.count
-    records.append(CheckRecord("SPOT_CENTRAL", {"a": "1", "b": "1", "c": "2"}, ok, "0" if ok else "1"))
-
-    dims222 = HexDims(2, 2, 2)
-    spot_almost = formulas.probability_report(dims222, almost_central_pos(dims222), Method.CLOSED_FORM)
-    spot_oracle2 = bruteforce.oracle_count_fixed(dims222, almost_central_pos(dims222))
-    ok = spot_almost.probability == Fraction(3, 10) and spot_oracle2 == spot_almost.count
-    records.append(CheckRecord("SPOT_ALMOST_CENTRAL", {"a": "2", "b": "2", "c": "2"}, ok, "0" if ok else "1"))
-
-    deviation = abs(formulas.arcsin_probability(AsymptoticInput(1, 1, 1)) - 1 / 3)
-    records.append(
-        CheckRecord("ARCSIN_SYMMETRIC", {"point": "(1,1,1)"}, deviation <= 1e-12, f"{deviation:.3e}")
-    )
-    return records
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_a < 2:
         raise ValueError(f"--max-a must be at least 2, got {args.max_a}")
-    records: List[CheckRecord] = []
-    if args.suite in ("core", "all"):
-        records.extend(_core_suite(args.max_a))
-    if args.suite in ("detfactor", "all"):
-        records.extend(factorcheck.run_factor_suite(args.max_a))
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    records = [record for suite in suites for check in SUITES[suite] for record in check(args.max_a)]
     for record in records:
         print(record.line())
     failures = sum(1 for record in records if not record.passed)
     print(f"SUMMARY suite={args.suite} checks={len(records)} failures={failures}")
     if args.json_path is not None:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump([record.to_json() for record in records], handle, indent=1)
-            handle.write("\n")
+        _emit(json.dumps([record.to_json() for record in records], indent=1) + "\n", args.json_path)
     return 2 if failures else 0
 
 

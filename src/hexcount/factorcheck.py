@@ -388,16 +388,3 @@ def check_identity(
     if defect is not None:
         return CheckRecord(identity.name, params, False, defect)
     return CheckRecord(identity.name, params, True, "0")
-
-
-def run_factor_suite(max_a: int = 6) -> List[CheckRecord]:
-    """Grid-certify both factorizations and all row combinations up to max_a."""
-    records = []
-    for a in range(2, max_a + 1):
-        for variant in MatrixVariant:
-            records.append(check_factorization(a, variant))
-    for identity in RowIdentity:
-        for a in range(2, max_a + 1):
-            for k in admissible_k(identity, a):
-                records.append(check_identity(identity, a, k))
-    return records

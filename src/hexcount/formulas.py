@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
@@ -290,13 +291,19 @@ def probability_report(dims: HexDims, pos: RhombusPos, method: Method = Method.L
 
 def arcsin_probability(inp: AsymptoticInput) -> float:
     """Limiting occupation probability of the center under given proportions."""
-    denominator = (inp.beta + inp.gamma) * (inp.alpha + inp.gamma)
-    if denominator <= 0:
+    alpha, beta, gamma = inp.alpha, inp.beta, inp.gamma
+    if alpha + gamma == 0 or beta + gamma == 0:
         raise ValueError(
-            f"degenerate proportions ({inp.alpha}, {inp.beta}, {inp.gamma}): "
+            f"degenerate proportions ({alpha}, {beta}, {gamma}): "
             "(beta+gamma)*(alpha+gamma) must be positive"
         )
-    ratio = (inp.alpha * inp.beta) / denominator
+    numerator, denominator = alpha * beta, (beta + gamma) * (alpha + gamma)
+    if sys.float_info.min <= numerator and denominator < math.inf:
+        ratio = numerator / denominator
+    else:  # the quotient would over- or underflow; its factors x/(x+gamma), x = alpha, beta, do not
+        ratio = math.prod(
+            1 / (1 + gamma / x) if x >= gamma else (x / gamma) / (1 + x / gamma) for x in (alpha, beta)
+        )
     if ratio > 1:
         if ratio > 1 + 1e-12:
             raise ValueError(f"proportion ratio {ratio} escapes [0, 1]")

@@ -1,38 +1,22 @@
 """Acceptance gate: the ten headline claims, each printing one PASS/FAIL line.
 
-Every criterion is exact arithmetic unless a tolerance is stated on the
-line itself.  Lines are written through pytest's capture so they appear
-in the live test output.
+Criteria 1-8 and the symmetric point of criterion 9 run the named checks
+of ``hexcount.checks``, the registry ``hexcount verify`` prints, at the
+sizes stated on each line; a criterion passes when every record it gets
+back passes.  Every criterion is exact arithmetic unless a tolerance is
+stated on the line itself.  Lines are written through pytest's capture
+so they appear in the live test output.
 """
 
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
-from hexcount.bruteforce import enumerate_families, oracle_count_fixed, oracle_occupation
-from hexcount.factorcheck import (
-    DEFAULT_POINTS,
-    MatrixVariant,
-    RowIdentity,
-    admissible_k,
-    check_factorization,
-    check_identity,
-)
-from hexcount.formulas import (
-    AsymptoticInput,
-    Method,
-    arcsin_probability,
-    closed_almost_central,
-    closed_central,
-    convergence_experiment,
-    macmahon_total,
-    probability_report,
-    triple_sum_count,
-)
-from hexcount.geometry import HexDims, ParityClass, almost_central_pos, central_pos
-from hexcount.pathcount import count_fixed, det_fraction_free
+from hexcount import checks
+from hexcount.formulas import AsymptoticInput, convergence_experiment
+from hexcount.geometry import ParityClass
+from hexcount.pathcount import det_fraction_free
 
 
 @pytest.fixture
@@ -48,144 +32,74 @@ def report(capsys):
     return _report
 
 
-def small_dims():
-    return [HexDims(a, b, c) for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2, 3)]
+@pytest.fixture
+def gate(report):
+    """Report a criterion from its check records and fail on any failing record."""
+
+    def _gate(number: int, records, description: str, started: float) -> None:
+        failures = [record.line() for record in records if not record.passed]
+        report(number, not failures, description, started)
+        assert records and not failures, "\n".join(failures)
+
+    return _gate
 
 
-def test_criterion_01_macmahon_agreement(report):
+def box_cells(record) -> int:
+    a, b, c = (int(record.params[side]) for side in "abc")
+    return (a + b) * (a + c)
+
+
+def test_criterion_01_macmahon_agreement(gate):
     started = time.perf_counter()
-    cases = small_dims() + [HexDims(1, 2, 3), HexDims(4, 1, 1), HexDims(1, 4, 2)]
-    failures = [d for d in cases if enumerate_families(d) != macmahon_total(d)]
-    report(1, not failures, f"oracle equals box-product total on {len(cases)} hexagons, exact", started)
-    assert not failures
+    records = checks.oracle_total(3)
+    gate(1, records, f"oracle equals box-product total on {len(records)} hexagons, exact", started)
 
 
-def test_criterion_02_four_route_agreement(report):
+def test_criterion_02_four_route_agreement(gate):
     started = time.perf_counter()
-    bad = 0
-    checked = 0
-    for dims in small_dims():
-        occupation = oracle_occupation(dims)
-        for pos, expected in occupation.items():
-            checked += 1
-            if not (expected == count_fixed(dims, pos) == triple_sum_count(dims, pos)):
-                bad += 1
-    report(2, bad == 0, f"oracle, determinant, and triple sum agree at {checked} positions, exact", started)
-    assert bad == 0
+    records = checks.oracle_box(3)
+    cells = sum(box_cells(record) for record in records)
+    gate(2, records, f"oracle, heatmap, determinant, and triple sum agree at {cells} positions, exact", started)
 
 
-def test_criterion_03_closed_form_central(report):
+def test_criterion_03_closed_form_central(gate):
     started = time.perf_counter()
-    bad = 0
-    cases = 0
-    for a in range(1, 9):
-        for b in range(1, 9):
-            for c in range(1, 9):
-                dims = HexDims(a, b, c)
-                if dims.parity_class is not ParityClass.CENTRAL:
-                    continue
-                cases += 1
-                pos = central_pos(dims)
-                if not (closed_central(dims) == count_fixed(dims, pos) == triple_sum_count(dims, pos)):
-                    bad += 1
-    report(3, bad == 0, f"central closed form equals both routes on {cases} hexagons, exact", started)
-    assert bad == 0
+    records = [record for record in checks.routes(8) if record.identity == "ROUTES_CENTRAL"]
+    gate(3, records, f"central closed form equals both routes on {len(records)} hexagons, exact", started)
 
 
-def test_criterion_04_closed_form_almost_central(report):
+def test_criterion_04_closed_form_almost_central(gate):
     started = time.perf_counter()
-    bad = 0
-    cases = 0
-    for a in range(1, 9):
-        for b in range(1, 9):
-            for c in range(1, 9):
-                dims = HexDims(a, b, c)
-                if dims.parity_class is not ParityClass.ALMOST_CENTRAL:
-                    continue
-                cases += 1
-                pos = almost_central_pos(dims)
-                if not (
-                    closed_almost_central(dims) == count_fixed(dims, pos) == triple_sum_count(dims, pos)
-                ):
-                    bad += 1
-    report(4, bad == 0, f"almost-central closed form equals both routes on {cases} hexagons, exact", started)
-    assert bad == 0
+    records = [record for record in checks.routes(8) if record.identity == "ROUTES_ALMOST_CENTRAL"]
+    gate(4, records, f"almost-central closed form equals both routes on {len(records)} hexagons, exact", started)
 
 
-def test_criterion_05_spot_values(report):
+def test_criterion_05_spot_values(gate):
     started = time.perf_counter()
-    central_dims = HexDims(1, 1, 2)
-    central = probability_report(central_dims, central_pos(central_dims), Method.CLOSED_FORM)
-    almost_dims = HexDims(2, 2, 2)
-    almost = probability_report(almost_dims, almost_central_pos(almost_dims), Method.CLOSED_FORM)
-    ok = (
-        central.probability == Fraction(1, 3)
-        and almost.probability == Fraction(3, 10)
-        and oracle_count_fixed(central_dims, central_pos(central_dims)) == central.count
-        and oracle_count_fixed(almost_dims, almost_central_pos(almost_dims)) == almost.count
-    )
-    report(5, ok, "spot probabilities 1/3 and 3/10, oracle-confirmed, exact", started)
-    assert ok
+    gate(5, checks.spots(2), "spot probabilities 1/3 and 3/10, oracle-confirmed, exact", started)
 
 
-def test_criterion_06_sum_rule(report):
+def test_criterion_06_sum_rule(gate):
     started = time.perf_counter()
-    bad = 0
-    cases = 0
-    for a in range(1, 6):
-        for b in range(1, 6):
-            for c in range(1, 6):
-                dims = HexDims(a, b, c)
-                cases += 1
-                mass = sum(count_fixed(dims, pos) for pos in dims.positions())
-                if mass != dims.a * dims.b * macmahon_total(dims):
-                    bad += 1
-    report(6, bad == 0, f"box occupation mass equals a*b*total on {cases} hexagons, exact", started)
-    assert bad == 0
+    records = checks.sum_rule(5)
+    gate(6, records, f"box occupation mass equals a*b*total on {len(records)} hexagons, exact", started)
 
 
-def test_criterion_07_determinant_factorizations(report):
+def test_criterion_07_determinant_factorizations(gate):
     started = time.perf_counter()
-    records = [
-        check_factorization(a, variant)
-        for a in range(2, 7)
-        for variant in MatrixVariant
-    ]
-    failures = [r for r in records if not r.passed]
-    report(
-        7,
-        not failures,
-        "determinant factorizations certified on full integer grids for orders 2..6, exact",
-        started,
-    )
-    for record in records:
-        assert record.passed, record.line()
+    records = checks.det_factorizations(6)
+    gate(7, records, "determinant factorizations certified on full integer grids for orders 2..6, exact", started)
 
 
-def test_criterion_08_row_combination_identities(report):
+def test_criterion_08_row_combination_identities(gate):
     started = time.perf_counter()
-    records = [
-        check_identity(identity, a, k, points=DEFAULT_POINTS, required=3)
-        for identity in RowIdentity
-        for a in range(2, 9)
-        for k in admissible_k(identity, a)
-    ]
-    failures = [r for r in records if not r.passed]
-    report(
-        8,
-        not failures,
-        f"{len(records)} row-combination identities hold at 3 evaluation points each, exact",
-        started,
-    )
-    for record in records:
-        assert record.passed, record.line()
+    records = checks.row_identities(8)
+    gate(8, records, f"{len(records)} row-combination identities hold at 3 evaluation points each, exact", started)
 
 
 def test_criterion_09_asymptotic_law(report):
     started = time.perf_counter()
-    symmetric = arcsin_probability(AsymptoticInput(1, 1, 1))
-    within = abs(symmetric - 1 / 3) <= 1e-12
-    ok = within
+    ok = all(record.passed for record in checks.arcsin_symmetric(2))
     for case in (ParityClass.CENTRAL, ParityClass.ALMOST_CENTRAL):
         records = convergence_experiment(AsymptoticInput(1, 1, 1), case, [5, 11, 21, 41])
         deviations = [r.deviation for r in records]

@@ -139,6 +139,11 @@ class TestAsympt:
         assert code == 0
         assert out == "0.333333333333\n"
 
+    @pytest.mark.parametrize("scale", ["1e308", "1e-200"])
+    def test_extreme_common_scale(self, capsys, scale):
+        code, out, err = run(capsys, "asympt", "--alpha", scale, "--beta", scale, "--gamma", scale)
+        assert (code, out, err) == (0, "0.333333333333\n", "")
+
     def test_degenerate_rejected(self, capsys):
         code, _, err = run(capsys, "asympt", "--alpha", "1", "--beta", "0", "--gamma", "0")
         assert code == 1
@@ -216,17 +221,27 @@ class TestVerify:
         assert "--max-a" in err
 
     def test_any_failure_exits_two(self, capsys, monkeypatch):
-        from hexcount import factorcheck
-        from hexcount.factorcheck import CheckRecord
+        from hexcount import formulas
 
-        failing = CheckRecord("DET_FACTOR_CENTRAL", {"a": "2"}, False, "1/2")
-        monkeypatch.setattr(
-            factorcheck, "run_factor_suite", lambda max_a: [failing]
-        )
+        closed_central = formulas.closed_central
+        monkeypatch.setattr(formulas, "closed_central", lambda dims: closed_central(dims) + 1)
+        code, out, _ = run(capsys, "verify", "--suite", "core", "--max-a", "3")
+        assert code == 2
+        failing = [line for line in out.splitlines() if " FAIL " in line]
+        assert [line.split()[0] for line in failing] == ["ROUTES_CENTRAL"] * 6 + ["SPOT_CENTRAL"]
+        assert failing[0] == "ROUTES_CENTRAL a=1 b=1 c=2 FAIL residual=(1,0)"
+        assert out.splitlines()[-1] == "SUMMARY suite=core checks=103 failures=7"
+
+    def test_broken_factorization_exits_two(self, capsys, monkeypatch):
+        from hexcount import factorcheck
+
+        factored = factorcheck.factored_det_central
+        monkeypatch.setattr(factorcheck, "factored_det_central", lambda a, b, c: factored(a, b, c) + 1)
         code, out, _ = run(capsys, "verify", "--suite", "detfactor", "--max-a", "2")
         assert code == 2
-        assert "DET_FACTOR_CENTRAL a=2 FAIL residual=1/2" in out
-        assert "failures=1" in out
+        assert "DET_FACTOR_CENTRAL a=2 grid=-6..6 point=(-6,-6) FAIL residual=-1" in out
+        assert "DET_FACTOR_ALMOST_CENTRAL a=2 grid=-6..6 PASS" in out
+        assert out.splitlines()[-1] == "SUMMARY suite=detfactor checks=5 failures=1"
 
 
 class TestUsageErrors:

@@ -28,7 +28,6 @@ from hexcount.factorcheck import (
     grid_values,
     h_poly,
     p_poly,
-    run_factor_suite,
 )
 
 
@@ -237,14 +236,6 @@ class TestSuite:
         record = check_identity(RowIdentity.B_FACTOR_1, 4, 0, points=singular_first)
         assert record.passed
         assert "-1" not in record.params["point"]
-
-    def test_run_factor_suite_all_pass(self):
-        records = run_factor_suite(max_a=4)
-        assert records
-        assert all(r.passed for r in records)
-        names = {r.identity for r in records}
-        assert "DET_FACTOR_CENTRAL" in names
-        assert "C_FACTOR" in names
 
 
 class TestCheckRecord:

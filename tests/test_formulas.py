@@ -1,6 +1,7 @@
 """Counting formulas: totals, triple sum, closed forms, asymptotics."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,28 @@ class TestArcsinProbability:
         a = arcsin_probability(AsymptoticInput(1.0, 2.0, 3.0))
         b = arcsin_probability(AsymptoticInput(10.0, 20.0, 30.0))
         assert abs(a - b) <= 1e-15
+
+    @pytest.mark.parametrize("scale", [1e308, 1e-200, 5e-324])
+    def test_extreme_common_scale(self, scale):
+        # the ratio ignores a common factor; neither overflow nor underflow may show
+        assert abs(arcsin_probability(AsymptoticInput(scale, scale, scale)) - 1 / 3) <= 1e-15
+
+    def test_wide_range_matches_exact_ratio(self):
+        # the direct quotient overflows or underflows on each of these
+        for values in [(1e-94, 3e229, 2e112), (1.6e-157, 2.7e-188, 1.4e-39), (1e308, 1e308, 1.5e308)]:
+            alpha, beta, gamma = (Fraction(v) for v in values)
+            ratio = float(alpha * beta / ((beta + gamma) * (alpha + gamma)))
+            expected = (2 / math.pi) * math.asin(math.sqrt(ratio))
+            assert math.isclose(arcsin_probability(AsymptoticInput(*values)), expected, rel_tol=1e-14)
+
+    def test_ordinary_inputs_unchanged(self):
+        # where the direct quotient stays in range it is the value returned, bit for bit
+        rng = random.Random(314)
+        for _ in range(1000):
+            alpha, beta, gamma = (rng.uniform(0, 10) for _ in range(3))
+            ratio = (alpha * beta) / ((beta + gamma) * (alpha + gamma))
+            expected = (2 / math.pi) * math.asin(math.sqrt(ratio))
+            assert arcsin_probability(AsymptoticInput(alpha, beta, gamma)) == expected
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
