@@ -1,9 +1,12 @@
 """The check registry: suite layout and checks that read the layers at call time."""
 
 import inspect
+from pathlib import Path
 
 from hexcount import checks, pathcount
 from hexcount.checks import SUITES
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestSuites:
@@ -24,6 +27,11 @@ class TestSuites:
         names = {r.identity for r in records}
         assert "DET_FACTOR_CENTRAL" in names
         assert "C_FACTOR" in names
+
+    def test_row_identities_match_golden(self):
+        # Every identity, both B_FACTOR_2 families and a skipped singular point.
+        text = "".join(record.line() + "\n" for record in checks.row_identities(8))
+        assert text == (GOLDEN / "row_identities_max8.txt").read_text(encoding="utf-8")
 
 
 class TestFailures:
