@@ -109,15 +109,7 @@ def _crossing_steps(family: Family) -> List[RhombusPos]:
 def oracle_count_fixed(dims: HexDims, pos: RhombusPos, budget: int = DEFAULT_BUDGET) -> int:
     """Families in which some path takes the RIGHT step (x-1, y) -> (x, y)."""
     check_position(dims, pos)
-    hits = 0
-
-    def visit(family: Family) -> None:
-        nonlocal hits
-        if pos in _crossing_steps(family):
-            hits += 1
-
-    enumerate_families(dims, visitor=visit, budget=budget)
-    return hits
+    return oracle_occupation(dims, budget)[pos]
 
 
 def oracle_occupation(dims: HexDims, budget: int = DEFAULT_BUDGET) -> Dict[RhombusPos, int]:

@@ -129,7 +129,7 @@ def heatmap_json(grid: HeatmapGrid) -> str:
         "b": grid.dims.b,
         "c": grid.dims.c,
         "total": str(grid.total),
-        "cells": [{"x": pos.x, "y": pos.y, "count": str(grid.counts[pos])} for pos in grid.rows()],
+        "cells": [{"x": pos.x, "y": pos.y, "count": str(count)} for pos, count in grid.counts.items()],
     }
     return json.dumps(payload, separators=(",", ":")) + "\n"
 

@@ -7,7 +7,7 @@ distinguished center positions boils down to an order a-1 matrix whose
     (b+i-j+2)_{j-2} * (c-i+j+2)_{a-j} * H(b, c, x, y, i, j)
 
 with H a fixed quartic and (x, y) specialized to x = (a+b)/2 and either
-y = (a+c-1)/2 (the CENTRAL variant) or y = (a+c)/2 (ALMOST_CENTRAL).
+y = (a+c-1)/2 (the CENTRAL parity class) or y = (a+c)/2 (ALMOST_CENTRAL).
 Entries are polynomials in b and c.  This module checks two families of
 statements about them with exact rational arithmetic:
 
@@ -16,7 +16,7 @@ statements about them with exact rational arithmetic:
   sides on integer grids larger than the degree bound, and
 * the row-combination identities behind the linear-factor divisibility
   claims: for suitable specializations c = -k or b = -k, an explicit
-  weighted sum of rows vanishes (or reproduces the negated (k+1)-th row).
+  weighted sum of rows vanishes.
 
 Determinants clear each row's denominators and run the fraction-free
 integer engine of ``pathcount``.  The terminating sums inside the factored
@@ -30,21 +30,17 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .arith import Rational, factorial, half, pochhammer
+from .geometry import ParityClass
 from . import formulas, pathcount
 
 RatMatrix = List[List[Fraction]]
 
-SINGULAR_MSG = "singular coefficient, choose another evaluation point"
 
-
-class MatrixVariant(enum.Enum):
-    """Which center the reduced matrix is specialized to."""
-
-    CENTRAL = "central"  # y = (a+c-1)/2
-    ALMOST_CENTRAL = "almost_central"  # y = (a+c)/2
+class SingularPoint(ValueError):
+    """A row-combination coefficient has a zero denominator at this evaluation point."""
 
 
 class RowIdentity(enum.Enum):
@@ -69,15 +65,15 @@ def h_poly(b: Rational, c: Rational, x: Rational, y: Rational, i: int, j: int) -
     )
 
 
-def build_poly_matrix(a: int, variant: MatrixVariant, b: Rational, c: Rational) -> RatMatrix:
+def build_poly_matrix(a: int, variant: ParityClass, b: Rational, c: Rational) -> RatMatrix:
     """Reduced matrix of order a-1 (rows/columns indexed 2..a) at one (b, c)."""
     if a < 2:
         raise ValueError(f"matrix order a-1 requires a >= 2, got a={a}")
     b, c = Fraction(b), Fraction(c)
     x = Fraction(a + b, 2)
-    if variant is MatrixVariant.CENTRAL:
+    if variant is ParityClass.CENTRAL:
         y = Fraction(a + c - 1, 2)
-    elif variant is MatrixVariant.ALMOST_CENTRAL:
+    elif variant is ParityClass.ALMOST_CENTRAL:
         y = Fraction(a + c, 2)
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -180,7 +176,7 @@ def p_poly(n: int, c: Rational) -> Fraction:
 
 def _ratio(numerator: Fraction, denominator: Fraction) -> Fraction:
     if denominator == 0:
-        raise ValueError(SINGULAR_MSG)
+        raise SingularPoint("singular coefficient, choose another evaluation point")
     return numerator / denominator
 
 
@@ -204,7 +200,8 @@ def _c_factor_coeffs(a: int, k: int, b: Fraction, shifted: bool) -> Dict[int, Fr
 def _b_factor_coeffs(a: int, k: int, c: Fraction, second: bool, shifted: bool) -> Dict[int, Fraction]:
     lo = k + 3 if second else k + 2
     den_shift = 4 if shifted else 3
-    coeffs = {}
+    # In the second family the other rows sum to minus row k+1, so row k+1 has weight 1.
+    coeffs = {k + 1: Fraction(1)} if second else {}
     for i in range(lo, (a + k + 2) // 2 + 1):
         if second:
             length = rising_len = i - k - 1
@@ -223,62 +220,6 @@ def _b_factor_coeffs(a: int, k: int, c: Fraction, second: bool, shifted: bool) -
     return coeffs
 
 
-def _identity_setup(identity: RowIdentity, a: int, k: int, free_param: Rational):
-    """Validate (a, k) for the identity; return (matrix, coefficients by row)."""
-    free = Fraction(free_param)
-    if identity in (RowIdentity.C_FACTOR, RowIdentity.C_FACTOR_HAT):
-        shifted = identity is RowIdentity.C_FACTOR_HAT
-        if shifted:
-            if not (1 <= k <= a - 1) or (k - a) % 2 != 0:
-                raise ValueError(f"{identity.name} needs 1 <= k <= a-1 with k = a (mod 2), got a={a}, k={k}")
-        else:
-            if not (1 <= k <= a) or (k - a) % 2 == 0:
-                raise ValueError(f"{identity.name} needs 1 <= k <= a with k != a (mod 2), got a={a}, k={k}")
-        variant = MatrixVariant.ALMOST_CENTRAL if shifted else MatrixVariant.CENTRAL
-        matrix = build_poly_matrix(a, variant, b=free, c=Fraction(-k))
-        coeffs = _c_factor_coeffs(a, k, free, shifted)
-        return matrix, coeffs
-
-    second = identity in (RowIdentity.B_FACTOR_2, RowIdentity.B_FACTOR_2_HAT)
-    shifted = identity in (RowIdentity.B_FACTOR_1_HAT, RowIdentity.B_FACTOR_2_HAT)
-    if second:
-        if not (0 < k < a - 2) or (k - a) % 2 != 0:
-            raise ValueError(f"{identity.name} needs 0 < k < a-2 with k = a (mod 2), got a={a}, k={k}")
-    else:
-        # k = a-2 admitted: rows a-1 and a of the matrix vanish there outright.
-        if not (0 <= k <= a - 2) or (k - a) % 2 != 0:
-            raise ValueError(f"{identity.name} needs 0 <= k <= a-2 with k = a (mod 2), got a={a}, k={k}")
-    variant = MatrixVariant.ALMOST_CENTRAL if shifted else MatrixVariant.CENTRAL
-    matrix = build_poly_matrix(a, variant, b=Fraction(-k), c=free)
-    coeffs = _b_factor_coeffs(a, k, free, second, shifted)
-    return matrix, coeffs
-
-
-def check_row_combination(identity: RowIdentity, a: int, k: int, free_param: Rational) -> List[Fraction]:
-    """Weighted row sum of the specialized matrix, one value per column j=2..a.
-
-    The expected result is the zero vector, except for the B_FACTOR_2
-    variants where it is the negated (k+1)-th matrix row (see
-    expected_residual).  A vanishing coefficient denominator raises with
-    SINGULAR_MSG; pick a different evaluation point.
-    """
-    matrix, coeffs = _identity_setup(identity, a, k, free_param)
-    residual = [Fraction(0)] * (a - 1)
-    for i, coefficient in coeffs.items():
-        row = matrix[i - 2]  # rows are indexed 2..a
-        for col in range(a - 1):
-            residual[col] += coefficient * row[col]
-    return residual
-
-
-def expected_residual(identity: RowIdentity, a: int, k: int, free_param: Rational) -> List[Fraction]:
-    """What check_row_combination must return for the identity to hold."""
-    matrix, _ = _identity_setup(identity, a, k, free_param)
-    if identity in (RowIdentity.B_FACTOR_2, RowIdentity.B_FACTOR_2_HAT):
-        return [-entry for entry in matrix[k + 1 - 2]]
-    return [Fraction(0)] * (a - 1)
-
-
 def admissible_k(identity: RowIdentity, a: int) -> List[int]:
     """All k values for which the identity makes a claim at this a."""
     if identity is RowIdentity.C_FACTOR:
@@ -286,8 +227,36 @@ def admissible_k(identity: RowIdentity, a: int) -> List[int]:
     if identity is RowIdentity.C_FACTOR_HAT:
         return [k for k in range(1, a) if (k - a) % 2 == 0]
     if identity in (RowIdentity.B_FACTOR_1, RowIdentity.B_FACTOR_1_HAT):
+        # k = a-2 admitted: rows a-1 and a of the matrix vanish there outright.
         return [k for k in range(0, a - 1) if (k - a) % 2 == 0]
     return [k for k in range(1, a - 2) if (k - a) % 2 == 0]
+
+
+def check_row_combination(identity: RowIdentity, a: int, k: int, free_param: Rational) -> List[Fraction]:
+    """Weighted row sum of the specialized matrix, one value per column j=2..a.
+
+    The identity claims the zero vector.  C-type identities set c = -k and
+    leave b free; B-type identities set b = -k and leave c free.  A
+    vanishing coefficient denominator raises ``SingularPoint``.
+    """
+    window = admissible_k(identity, a)
+    if k not in window:
+        raise ValueError(f"{identity.name} needs k in {window}, got a={a}, k={k}")
+    free = Fraction(free_param)
+    shifted = identity in (RowIdentity.C_FACTOR_HAT, RowIdentity.B_FACTOR_1_HAT, RowIdentity.B_FACTOR_2_HAT)
+    variant = ParityClass.ALMOST_CENTRAL if shifted else ParityClass.CENTRAL
+    if identity in (RowIdentity.C_FACTOR, RowIdentity.C_FACTOR_HAT):
+        coeffs = _c_factor_coeffs(a, k, free, shifted)
+        matrix = build_poly_matrix(a, variant, b=free, c=-k)
+    else:
+        second = identity in (RowIdentity.B_FACTOR_2, RowIdentity.B_FACTOR_2_HAT)
+        coeffs = _b_factor_coeffs(a, k, free, second, shifted)
+        matrix = build_poly_matrix(a, variant, b=-k, c=free)
+    residual = [Fraction(0)] * (a - 1)
+    for i, weight in coeffs.items():
+        for col, entry in enumerate(matrix[i - 2]):  # rows are indexed 2..a
+            residual[col] += weight * entry
+    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +299,11 @@ def grid_values(a: int) -> range:
     return range(-6, -6 + max(13, degree_bound(a) + 2))
 
 
-def check_factorization(a: int, variant: MatrixVariant) -> CheckRecord:
+def check_factorization(a: int, variant: ParityClass) -> CheckRecord:
     """Certify det == factored closed form on the full integer grid for one a."""
-    rhs = factored_det_central if variant is MatrixVariant.CENTRAL else factored_det_almost_central
+    rhs = factored_det_central if variant is ParityClass.CENTRAL else factored_det_almost_central
     values = grid_values(a)
-    name = "DET_FACTOR_CENTRAL" if variant is MatrixVariant.CENTRAL else "DET_FACTOR_ALMOST_CENTRAL"
+    name = "DET_FACTOR_CENTRAL" if variant is ParityClass.CENTRAL else "DET_FACTOR_ALMOST_CENTRAL"
     params = {"a": str(a), "grid": f"{values.start}..{values[-1]}"}
     for b in values:
         for c in values:
@@ -345,46 +314,38 @@ def check_factorization(a: int, variant: MatrixVariant) -> CheckRecord:
 
 
 # Non-integer points never make a coefficient denominator vanish (the poles
-# sit at integers), so three of these always evaluate.
-DEFAULT_POINTS: Tuple[Fraction, ...] = (
+# sit at integers), so IDENTITY_POINTS_NEEDED of these always evaluate.
+IDENTITY_POINTS: Tuple[Fraction, ...] = (
     Fraction(5),
     Fraction(13, 2),
     Fraction(23, 3),
     Fraction(9),
     Fraction(7, 2),
 )
+IDENTITY_POINTS_NEEDED = 3
 
 
-def check_identity(
-    identity: RowIdentity,
-    a: int,
-    k: int,
-    points: Sequence[Rational] = DEFAULT_POINTS,
-    required: int = 3,
-) -> CheckRecord:
-    """Evaluate one row combination at several points, skipping singular ones."""
+def check_identity(identity: RowIdentity, a: int, k: int) -> CheckRecord:
+    """Evaluate one row combination at the first IDENTITY_POINTS_NEEDED non-singular IDENTITY_POINTS."""
     evaluated = []
     defect = None
-    for point in points:
-        if len(evaluated) == required:
+    for point in IDENTITY_POINTS:
+        if len(evaluated) == IDENTITY_POINTS_NEEDED:
             break
         try:
-            actual = check_row_combination(identity, a, k, point)
-            expected = expected_residual(identity, a, k, point)
-        except ValueError as err:
-            if SINGULAR_MSG in str(err):
-                continue
-            raise
+            residual = check_row_combination(identity, a, k, point)
+        except SingularPoint:
+            continue
         evaluated.append(point)
-        if defect is None and actual != expected:
-            defect = next(str(got - want) for got, want in zip(actual, expected) if got != want)
+        if defect is None:
+            defect = next((value for value in residual if value != 0), None)
     params = {
         "a": str(a),
         "k": str(k),
         "point": "(" + ",".join(str(p) for p in evaluated) + ")",
     }
-    if len(evaluated) < required:
+    if len(evaluated) < IDENTITY_POINTS_NEEDED:
         return CheckRecord(identity.name, params, False, "insufficient evaluation points")
     if defect is not None:
-        return CheckRecord(identity.name, params, False, defect)
+        return CheckRecord(identity.name, params, False, str(defect))
     return CheckRecord(identity.name, params, True, "0")

@@ -37,7 +37,6 @@ with the adjugate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .geometry import HexDims, PathPoint, RhombusPos, check_position, endpoints, extra_pair, path_count
@@ -147,13 +146,6 @@ class HeatmapGrid:
     dims: HexDims
     total: int
     counts: Dict[RhombusPos, int]
-
-    def probability(self, pos: RhombusPos) -> Fraction:
-        return Fraction(self.counts[pos], self.total)
-
-    def rows(self) -> List[RhombusPos]:
-        """Positions in row-major order: y outer ascending, x inner ascending."""
-        return list(self.dims.positions())
 
 
 def heatmap(dims: HexDims) -> HeatmapGrid:

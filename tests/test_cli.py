@@ -99,7 +99,7 @@ class TestHeatmap:
             pos = RhombusPos(int(x), int(y))
             parsed[pos] = int(count)
             assert int(total) == grid.total
-            assert Fraction(probability) == grid.probability(pos)
+            assert Fraction(probability) == Fraction(grid.counts[pos], grid.total)
         assert parsed == grid.counts
 
     def test_json_schema(self, capsys):

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexcount import checks, factorcheck
 from hexcount.factorcheck import (
-    DEFAULT_POINTS,
-    SINGULAR_MSG,
+    IDENTITY_POINTS,
     CheckRecord,
-    MatrixVariant,
     RowIdentity,
+    SingularPoint,
     admissible_k,
     build_poly_matrix,
     check_factorization,
@@ -22,13 +22,13 @@ from hexcount.factorcheck import (
     check_row_combination,
     degree_bound,
     det_rational,
-    expected_residual,
     factored_det_almost_central,
     factored_det_central,
     grid_values,
     h_poly,
     p_poly,
 )
+from hexcount.geometry import ParityClass
 
 
 def leibniz_det(matrix):
@@ -63,22 +63,26 @@ class TestHPoly:
 
 class TestBuildPolyMatrix:
     def test_one_by_one_center(self):
-        assert build_poly_matrix(2, MatrixVariant.CENTRAL, 2, 1) == [[Fraction(4)]]
+        assert build_poly_matrix(2, ParityClass.CENTRAL, 2, 1) == [[Fraction(4)]]
 
     def test_factor_b_vanishes(self):
-        assert build_poly_matrix(2, MatrixVariant.CENTRAL, 0, 1) == [[Fraction(0)]]
+        assert build_poly_matrix(2, ParityClass.CENTRAL, 0, 1) == [[Fraction(0)]]
 
     def test_order_is_a_minus_one(self):
-        matrix = build_poly_matrix(5, MatrixVariant.ALMOST_CENTRAL, 2, 3)
+        matrix = build_poly_matrix(5, ParityClass.ALMOST_CENTRAL, 2, 3)
         assert len(matrix) == 4
         assert all(len(row) == 4 for row in matrix)
 
     def test_a_below_two_rejected(self):
         with pytest.raises(ValueError):
-            build_poly_matrix(1, MatrixVariant.CENTRAL, 1, 1)
+            build_poly_matrix(1, ParityClass.CENTRAL, 1, 1)
+
+    def test_other_parity_class_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            build_poly_matrix(3, ParityClass.OTHER, 1, 1)
 
     def test_hat_variant_det_matches_factored_form(self):
-        matrix = build_poly_matrix(3, MatrixVariant.ALMOST_CENTRAL, 1, 1)
+        matrix = build_poly_matrix(3, ParityClass.ALMOST_CENTRAL, 1, 1)
         assert det_rational(matrix) == factored_det_almost_central(3, 1, 1)
 
 
@@ -124,15 +128,15 @@ class TestFactoredDeterminants:
     @pytest.mark.parametrize("a", [2, 3, 4])
     def test_matches_determinant_on_spots(self, a):
         for b, c in [(1, 2), (2, 2), (-3, 4), (Fraction(5, 2), 1)]:
-            central = build_poly_matrix(a, MatrixVariant.CENTRAL, b, c)
+            central = build_poly_matrix(a, ParityClass.CENTRAL, b, c)
             assert factored_det_central(a, b, c) == det_rational(central)
-            hat = build_poly_matrix(a, MatrixVariant.ALMOST_CENTRAL, b, c)
+            hat = build_poly_matrix(a, ParityClass.ALMOST_CENTRAL, b, c)
             assert factored_det_almost_central(a, b, c) == det_rational(hat)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 4), st.integers(-6, 6), st.integers(-6, 6))
     def test_matches_determinant_on_random_grid_points(self, a, b, c):
-        matrix = build_poly_matrix(a, MatrixVariant.CENTRAL, b, c)
+        matrix = build_poly_matrix(a, ParityClass.CENTRAL, b, c)
         assert factored_det_central(a, b, c) == det_rational(matrix)
 
 
@@ -162,11 +166,11 @@ class TestRowCombinations:
         assert check_row_combination(RowIdentity.B_FACTOR_1, 4, 2, 3) == [Fraction(0)] * 3
 
     def test_b_factor_2_negated_row(self):
-        residual = check_row_combination(RowIdentity.B_FACTOR_2, 5, 1, 4)
-        expected = expected_residual(RowIdentity.B_FACTOR_2, 5, 1, 4)
-        assert residual == expected
-        matrix = build_poly_matrix(5, MatrixVariant.CENTRAL, b=-1, c=4)
-        assert expected == [-entry for entry in matrix[0]]  # row k+1 = 2 is index 0
+        # The combination includes row k+1 with weight 1, and that row is not
+        # zero, so the identity says the other rows sum to its negative.
+        assert check_row_combination(RowIdentity.B_FACTOR_2, 5, 1, 4) == [Fraction(0)] * 4
+        matrix = build_poly_matrix(5, ParityClass.CENTRAL, b=-1, c=4)
+        assert any(entry != 0 for entry in matrix[0])  # row k+1 = 2 is index 0
 
     def test_parity_violation_rejected(self):
         with pytest.raises(ValueError, match="C_FACTOR needs"):
@@ -176,7 +180,7 @@ class TestRowCombinations:
 
     def test_singular_point_reported(self):
         # B-type coefficient denominators vanish at special integer c
-        with pytest.raises(ValueError, match="singular coefficient"):
+        with pytest.raises(SingularPoint):
             for c in range(-12, 0):
                 check_row_combination(RowIdentity.B_FACTOR_1, 4, 0, c)
 
@@ -185,9 +189,8 @@ class TestRowCombinations:
         for a in range(2, 7):
             for identity in RowIdentity:
                 for k in admissible_k(identity, a):
-                    assert check_row_combination(identity, a, k, free) == expected_residual(
-                        identity, a, k, free
-                    ), (identity, a, k)
+                    zero = [Fraction(0)] * (a - 1)
+                    assert check_row_combination(identity, a, k, free) == zero, (identity, a, k)
 
 
 class TestAdmissibleK:
@@ -213,29 +216,54 @@ class TestSuite:
             assert len(grid_values(a)) > degree_bound(a)
 
     def test_factorization_records_pass(self):
-        for variant in MatrixVariant:
+        for variant in (ParityClass.CENTRAL, ParityClass.ALMOST_CENTRAL):
             record = check_factorization(3, variant)
             assert record.passed
             assert record.params["a"] == "3"
 
     def test_identity_check_uses_enough_points(self):
-        record = check_identity(RowIdentity.C_FACTOR, 3, 2, points=DEFAULT_POINTS)
+        record = check_identity(RowIdentity.C_FACTOR, 3, 2)
         assert record.passed
         assert len(record.params["point"].strip("()").split(",")) >= 3
 
-    def test_identity_check_insufficient_points(self):
-        record = check_identity(
-            RowIdentity.C_FACTOR, 3, 2, points=(Fraction(5), Fraction(9))
-        )
+    def test_identity_check_insufficient_points(self, monkeypatch):
+        monkeypatch.setattr(factorcheck, "IDENTITY_POINTS", (Fraction(5), Fraction(9)))
+        record = check_identity(RowIdentity.C_FACTOR, 3, 2)
         assert not record.passed
         assert record.residual == "insufficient evaluation points"
 
-    def test_identity_check_skips_singular_points(self):
+    def test_identity_check_skips_singular_points(self, monkeypatch):
         # a singular leading point must be skipped, not crash the check
-        singular_first = (Fraction(-1),) + DEFAULT_POINTS
-        record = check_identity(RowIdentity.B_FACTOR_1, 4, 0, points=singular_first)
+        monkeypatch.setattr(factorcheck, "IDENTITY_POINTS", (Fraction(-1),) + IDENTITY_POINTS)
+        record = check_identity(RowIdentity.B_FACTOR_1, 4, 0)
         assert record.passed
         assert "-1" not in record.params["point"]
+
+    def test_identity_check_rejects_inadmissible_k(self):
+        with pytest.raises(ValueError, match="B_FACTOR_2 needs"):
+            check_identity(RowIdentity.B_FACTOR_2, 4, 1)
+
+    def test_broken_coefficients_fail(self, monkeypatch):
+        # p_poly enters only the B-type coefficients: every B record fails
+        # with the first nonzero residual entry, every C record still passes.
+        p_poly_ = factorcheck.p_poly
+        monkeypatch.setattr(factorcheck, "p_poly", lambda n, c: p_poly_(n, c) + 1)
+        records = checks.row_identities(6)
+        assert [r.line() for r in records if not r.passed] == [
+            "B_FACTOR_1 a=4 k=0 point=(5,13/2,23/3) FAIL residual=2016",
+            "B_FACTOR_1 a=5 k=1 point=(5,13/2,23/3) FAIL residual=8400",
+            "B_FACTOR_1 a=6 k=0 point=(5,13/2,23/3) FAIL residual=672840",
+            "B_FACTOR_1 a=6 k=2 point=(5,13/2,23/3) FAIL residual=26880",
+            "B_FACTOR_2 a=5 k=1 point=(5,13/2,23/3) FAIL residual=-30240",
+            "B_FACTOR_2 a=6 k=2 point=(5,13/2,23/3) FAIL residual=-120960",
+            "B_FACTOR_1_HAT a=4 k=0 point=(5,13/2,23/3) FAIL residual=211680",
+            "B_FACTOR_1_HAT a=5 k=1 point=(5,13/2,23/3) FAIL residual=907200",
+            "B_FACTOR_1_HAT a=6 k=0 point=(5,13/2,23/3) FAIL residual=97968640",
+            "B_FACTOR_1_HAT a=6 k=2 point=(5,13/2,23/3) FAIL residual=3024000",
+            "B_FACTOR_2_HAT a=5 k=1 point=(5,13/2,23/3) FAIL residual=-30240",
+            "B_FACTOR_2_HAT a=6 k=2 point=(5,13/2,23/3) FAIL residual=-120960",
+        ]
+        assert all(r.passed for r in records if r.identity.startswith("C_FACTOR"))
 
 
 class TestCheckRecord:

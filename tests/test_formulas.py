@@ -62,6 +62,14 @@ class TestMacmahonTotal:
         flat = HexDims(1, dims.b, dims.c)
         assert macmahon_total(flat) == math.comb(dims.b + dims.c, dims.b)
 
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8))
+    def test_factorial_product(self, a, b, c):
+        f = math.factorial
+        expected = math.prod(
+            Fraction(f(i + b + c - 1) * f(i - 1), f(i + c - 1) * f(i + b - 1)) for i in range(1, a + 1)
+        )
+        assert macmahon_total(HexDims(a, b, c)) == expected
+
 
 class TestTripleSum:
     @settings(max_examples=40, deadline=None)

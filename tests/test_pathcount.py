@@ -185,15 +185,19 @@ class TestHeatmap:
         assert grid.counts[RhombusPos(2, 2)] == 6
         assert sum(grid.counts.values()) == dims.a * dims.b * grid.total
 
-    def test_rows_are_row_major(self):
-        grid = heatmap(HexDims(1, 2, 1))
-        rows = grid.rows()
-        assert rows == sorted(rows, key=lambda p: (p.y, p.x))
-        assert len(rows) == 6
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
+    def test_central_symmetry(self, a, b, c):
+        # The half-turn of the hexagon maps the step ending at (x, y) to the
+        # one ending at (a+b-x, a+c-1-y); no step ends in column x = 0.
+        counts = heatmap(HexDims(a, b, c)).counts
+        for pos, count in counts.items():
+            mirror = RhombusPos(a + b - pos.x, a + c - 1 - pos.y)
+            assert count == (0 if pos.x == 0 else counts[mirror])
 
     def test_probability_is_exact(self):
         grid = heatmap(HexDims(2, 2, 2))
-        assert grid.probability(RhombusPos(2, 2)) == Fraction(3, 10)
+        assert Fraction(grid.counts[RhombusPos(2, 2)], grid.total) == Fraction(3, 10)
 
     @pytest.mark.parametrize(
         "sides",
