@@ -16,10 +16,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     "total": ["total", "-a", "3", "-b", "4", "-c", "5"],
+    "total_large": ["total", "-a", "41", "-b", "20", "-c", "10"],
     "count_lgv": ["count", "-a", "2", "-b", "3", "-c", "3", "-x", "2", "-y", "2", "--method", "lgv"],
     "count_triple": ["count", "-a", "2", "-b", "3", "-c", "3", "-x", "2", "-y", "2", "--method", "triple"],
+    "count_triple_large": [
+        "count", "-a", "14", "-b", "14", "-c", "15", "-x", "14", "-y", "14", "--method", "triple",
+    ],
     "count_oracle": ["count", "-a", "2", "-b", "3", "-c", "3", "-x", "2", "-y", "2", "--method", "oracle"],
     "central_closed": ["central", "-a", "3", "-b", "3", "-c", "2", "--method", "closed"],
+    "central_closed_large": ["central", "-a", "13", "-b", "13", "-c", "14", "--method", "closed"],
     "central_lgv": ["central", "-a", "3", "-b", "3", "-c", "2", "--method", "lgv"],
     "central_triple": ["central", "-a", "3", "-b", "3", "-c", "2", "--method", "triple"],
     "central_oracle": ["central", "-a", "3", "-b", "3", "-c", "2", "--method", "oracle"],
@@ -37,6 +42,10 @@ CASES = {
     "converge_almost_central": [
         "converge", "--alpha", "1", "--beta", "2", "--gamma", "1",
         "--case", "almost-central", "--sizes", "3,5,9,15",
+    ],
+    "converge_almost_central_large": [
+        "converge", "--alpha", "1", "--beta", "0.5", "--gamma", "0.5",
+        "--case", "almost-central", "--sizes", "5,11,21,31,41",
     ],
     "verify_all": ["verify", "--suite", "all", "--max-a", "4"],
     "verify_core_max6": ["verify", "--suite", "core", "--max-a", "6"],
