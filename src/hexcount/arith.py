@@ -50,11 +50,9 @@ def pochhammer(q: Rational, k: int) -> Fraction:
     """Rising factorial q(q+1)...(q+k-1); k must be nonnegative."""
     if k < 0:
         raise ValueError(f"pochhammer expects a nonnegative shift count, got {k}")
-    result = Fraction(1)
-    q = Fraction(q)
-    for step in range(k):
-        result *= q + step
-    return result
+    # With q = n/d the product is n(n+d)...(n+(k-1)d) / d**k: one gcd, not k.
+    n, d = Fraction(q).as_integer_ratio()
+    return Fraction(math.prod(range(n, n + k * d, d)), d**k)
 
 
 def half(n: Rational) -> Fraction:

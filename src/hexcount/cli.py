@@ -216,11 +216,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except SystemExit as err:  # --help
         return int(err.code or 0)
+    # Exact counts outgrow the default 4300-digit int-to-str limit; lift it while the command runs.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

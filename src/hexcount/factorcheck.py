@@ -54,34 +54,34 @@ class RowIdentity(enum.Enum):
     B_FACTOR_2_HAT = "b_factor_2_hat"
 
 
-def h_poly(b: Rational, c: Rational, x: Rational, y: Rational, i: int, j: int) -> Fraction:
-    """The quartic entry factor H."""
-    b, c, x, y = Fraction(b), Fraction(c), Fraction(x), Fraction(y)
+def _h4(b: Rational, c: Rational, X: Rational, Y: Rational, i: int, j: int) -> Rational:
+    """4H at x = X/2, y = Y/2: an integer polynomial in b, c, X and Y."""
     return (
-        (b + i - j + 1) * (c - i + j + 1) * (c - y + j - 1) * (b + i - x - 1)
-        - (c - i + j) * (c - i + j + 1) * (x - j + 1) * (b + i - x - 1)
-        - (b + i - j) * (b + i - j + 1) * (y - i + 2) * (c - y + j - 1)
-        + (b + i - j + 1) * (c - i + j + 1) * (x - j + 1) * (y - i + 2)
+        (b + i - j + 1) * (c - i + j + 1) * (2 * c - Y + 2 * j - 2) * (2 * b + 2 * i - X - 2)
+        - (c - i + j) * (c - i + j + 1) * (X - 2 * j + 2) * (2 * b + 2 * i - X - 2)
+        - (b + i - j) * (b + i - j + 1) * (Y - 2 * i + 4) * (2 * c - Y + 2 * j - 2)
+        + (b + i - j + 1) * (c - i + j + 1) * (X - 2 * j + 2) * (Y - 2 * i + 4)
     )
 
 
+def h_poly(b: Rational, c: Rational, x: Rational, y: Rational, i: int, j: int) -> Fraction:
+    """The quartic entry factor H."""
+    return Fraction(_h4(b, c, 2 * x, 2 * y, i, j), 4)
+
+
 def build_poly_matrix(a: int, variant: ParityClass, b: Rational, c: Rational) -> RatMatrix:
-    """Reduced matrix of order a-1 (rows/columns indexed 2..a) at one (b, c)."""
+    """Reduced matrix of order a-1 (rows/columns indexed 2..a) at one (b, c); 4H at X = a+b, Y = 2y."""
     if a < 2:
         raise ValueError(f"matrix order a-1 requires a >= 2, got a={a}")
-    b, c = Fraction(b), Fraction(c)
-    x = Fraction(a + b, 2)
     if variant is ParityClass.CENTRAL:
-        y = Fraction(a + c - 1, 2)
+        Y = a + c - 1
     elif variant is ParityClass.ALMOST_CENTRAL:
-        y = Fraction(a + c, 2)
+        Y = a + c
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return [
         [
-            pochhammer(b + i - j + 2, j - 2)
-            * pochhammer(c - i + j + 2, a - j)
-            * h_poly(b, c, x, y, i, j)
+            Fraction(pochhammer(b + i - j + 2, j - 2) * pochhammer(c - i + j + 2, a - j) * _h4(b, c, a + b, Y, i, j), 4)
             for j in range(2, a + 1)
         ]
         for i in range(2, a + 1)
@@ -98,27 +98,20 @@ def det_rational(matrix: RatMatrix) -> Fraction:
     rows = []
     scale = 1
     for row in matrix:
-        row = [Fraction(v) for v in row]
         row_scale = math.lcm(*(v.denominator for v in row))
         rows.append([v.numerator * (row_scale // v.denominator) for v in row])
         scale *= row_scale
     return Fraction(pathcount.det_fraction_free(rows), scale)
 
 
-def _shared_prefactor(a: int, b: Fraction, c: Fraction) -> Fraction:
-    value = Fraction(1)
-    for i in range(2, a):
-        value *= pochhammer(1 + b + c, i - 1)
-    for i in range(2, a + 1):
-        value *= factorial(i - 1)
-    return value
+def _shared_prefactor(a: int, b: Rational, c: Rational) -> Fraction:
+    return math.prod(pochhammer(1 + b + c, i - 1) * factorial(i) for i in range(1, a))
 
 
 def factored_det_central(a: int, b: Rational, c: Rational) -> Fraction:
     """Factored closed form of det(build_poly_matrix(a, CENTRAL, b, c))."""
     if a < 2:
         raise ValueError(f"requires a >= 2, got a={a}")
-    b, c = Fraction(b), Fraction(c)
     value = _shared_prefactor(a, b, c)
     if a % 2 == 1:
         value *= (
@@ -142,7 +135,6 @@ def factored_det_almost_central(a: int, b: Rational, c: Rational) -> Fraction:
     """Factored closed form of det(build_poly_matrix(a, ALMOST_CENTRAL, b, c))."""
     if a < 2:
         raise ValueError(f"requires a >= 2, got a={a}")
-    b, c = Fraction(b), Fraction(c)
     value = _shared_prefactor(a, b, c) * 2 ** (a - 1)
     if a % 2 == 1:
         value *= (
@@ -164,7 +156,6 @@ def p_poly(n: int, c: Rational) -> Fraction:
     """Auxiliary polynomial sequence appearing in the B-factor coefficients."""
     if n < 1:
         raise ValueError(f"p_poly is defined for n >= 1, got {n}")
-    c = Fraction(c)
     return sum(
         (
             pochhammer(half(1 + c - n), n - h - 1) * pochhammer(half(1 + c - 2 * h + n), h)

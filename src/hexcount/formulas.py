@@ -83,43 +83,46 @@ class ConvergenceRecord:
 
 
 def macmahon_total(dims: HexDims) -> int:
-    """Total number of tilings: product of (i+j+k-1)/(i+j+k-2) over the box."""
-    a, b, c = dims.a, dims.b, dims.c
-    numerator = math.prod(
-        i + j + k - 1 for i in range(1, a + 1) for j in range(1, b + 1) for k in range(1, c + 1)
-    )
-    denominator = math.prod(
-        i + j + k - 2 for i in range(1, a + 1) for j in range(1, b + 1) for k in range(1, c + 1)
-    )
-    return as_integer(Fraction(numerator, denominator), "macmahon_total")
+    """Total number of tilings: MacMahon's box product, one layer at a time over the smallest side s.
+
+    T(i) = T(i-1) C(i+m+l-1, l) / C(i+l-1, l) is the (i, m, l) total, so a remainder means a bug.
+    """
+    s, m, l = sorted((dims.a, dims.b, dims.c))
+    total = 1
+    for i in range(1, s + 1):
+        total, rest = divmod(total * math.comb(i + m + l - 1, l), math.comb(i + l - 1, l))
+        if rest:
+            raise ArithmeticError(f"macmahon_total: layer {i} of {(s, m, l)} is not an integer")
+    return total
 
 
 def triple_sum_count(dims: HexDims, pos: RhombusPos) -> int:
-    """Fixed-rhombus count at (x, y) through the hypergeometric triple sum."""
+    """Fixed-rhombus count at (x, y) through the hypergeometric triple sum.
+
+    (b+1)_{s-1} / (b+c+1)_{s-1} = (b+1)_{s-1} (b+c+s)_{a-s} / (b+c+1)_{a-1} makes every term an
+    integer; the s-sum, which depends on m alone, is formed once per m.  Times the prefactor
+    total * c! / (b+1)_c = total / C(b+c, c), one exact division ends the sum.
+    """
     check_position(dims, pos)
     a, b, c = dims.a, dims.b, dims.c
     x, y = pos.x, pos.y
-    acc = Fraction(0)
+    weights = [
+        (-1) ** s
+        * binomial(b - x + y + s - 1, b - x + s - 1)
+        * math.prod(range(b + 1, b + s))
+        * math.prod(range(b + c + s, b + c + a))
+        for s in range(1, a + 1)
+    ]
+    inner = [sum(binomial(m - 1, s - 1) * weights[s - 1] for s in range(1, m + 1)) for m in range(1, a + 1)]
+    acc = 0
     for n in range(1, a + 1):
         left = binomial(c + x - y + n - 2, x - 1) * binomial(c + n - 1, n - 1)
-        if left == 0:
-            continue
-        for m in range(n, a + 1):
-            shell = left * binomial(b + c + m - 1, m - n)
-            for s in range(1, m + 1):
-                term = (
-                    Fraction(
-                        (-1) ** (n + s)
-                        * shell
-                        * binomial(b - x + y + s - 1, b - x + s - 1)
-                        * binomial(m - 1, s - 1)
-                    )
-                    * pochhammer(b + 1, s - 1)
-                    / pochhammer(b + c + 1, s - 1)
-                )
-                acc += term
-    value = Fraction(macmahon_total(dims)) * pochhammer(1, c) / pochhammer(b + 1, c) * acc
-    return as_integer(value, f"triple_sum_count at ({x}, {y})")
+        if left:
+            acc += (-1) ** n * left * sum(binomial(b + c + m - 1, m - n) * inner[m - 1] for m in range(n, a + 1))
+    value, rest = divmod(macmahon_total(dims) * acc, math.comb(b + c, c) * math.prod(range(b + c + 1, b + c + a)))
+    if rest:
+        raise ArithmeticError(f"triple_sum_count at ({x}, {y}): expected an integer")
+    return value
 
 
 def central_sum(a: int, b: Rational, c: Rational) -> Fraction:
@@ -320,11 +323,11 @@ def nearest_dims(inp: AsymptoticInput, size: int, case: ParityClass) -> HexDims:
     """
     if case not in (ParityClass.CENTRAL, ParityClass.ALMOST_CENTRAL):
         raise ValueError(f"parity case must be CENTRAL or ALMOST_CENTRAL, got {case}")
-    base = [
-        max(1, math.floor(inp.alpha * size + 0.5)),
-        max(1, math.floor(inp.beta * size + 0.5)),
-        max(1, math.floor(inp.gamma * size + 0.5)),
-    ]
+    base = []
+    for name, value in zip(("alpha", "beta", "gamma"), (inp.alpha, inp.beta, inp.gamma)):
+        if not math.isfinite(value * size):
+            raise ValueError(f"proportion {name}={value} times size {size} overflows a float")
+        base.append(max(1, math.floor(value * size + 0.5)))
     for da in (0, -1, 1):
         for db in (0, -1, 1):
             for dc in (0, -1, 1):

@@ -80,6 +80,22 @@ class TestPochhammer:
     def test_recurrence(self, q, k):
         assert pochhammer(q, k + 1) == pochhammer(q, k) * (q + k)
 
+    @given(st.fractions(min_value=-30, max_value=30, max_denominator=20), st.integers(0, 15))
+    def test_matches_naive_product(self, q, k):
+        naive = Fraction(1)
+        for step in range(k):
+            naive *= q + step
+        value = pochhammer(q, k)
+        assert isinstance(value, Fraction) and value == naive
+
+    @given(st.integers(-20, -1), st.integers(0, 25))
+    def test_zero_crossing_product(self, n, k):
+        # n(n+1)...(n+k-1) passes through 0 exactly when k > -n
+        value = pochhammer(n, k)
+        assert isinstance(value, Fraction)
+        assert value == math.prod(range(n, n + k))
+        assert (value == 0) == (k > -n)
+
     @given(st.integers(1, 30), st.integers(0, 10))
     def test_factorial_quotient(self, n, k):
         assert pochhammer(n, k) == Fraction(factorial(n + k - 1), factorial(n - 1))

@@ -1,10 +1,15 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import inspect
 import json
+import math
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+from hexcount import factorcheck, formulas
 from hexcount.cli import main
 from hexcount.formulas import macmahon_total
 from hexcount.geometry import HexDims, RhombusPos
@@ -17,6 +22,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def mutant(module, name, old, new):
+    """``module.name`` recompiled from its source with the one occurrence of ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
 class TestTotal:
     def test_smallest_hexagon(self, capsys):
         code, out, err = run(capsys, "total", "-a", "1", "-b", "1", "-c", "1")
@@ -27,6 +41,26 @@ class TestTotal:
         assert code == 0
         assert out.strip() == str(macmahon_total(HexDims(8, 8, 8)))
         assert "," not in out and "_" not in out
+
+    def test_prints_past_the_int_to_str_digit_limit(self, capsys):
+        # 4909 digits, over CPython's default limit of 4300; the limit is back in force afterwards
+        f = math.factorial
+        reference = math.prod(Fraction(f(i + 239) * f(i - 1), f(i + 119) ** 2) for i in range(1, 121))
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "total", "-a", "120", "-b", "120", "-c", "120")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        assert len(out.strip()) == 4909
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(out) == reference
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_argument_parsing_keeps_the_digit_limit(self, capsys):
+        code, out, err = run(capsys, "total", "-a", "1" * 5000, "-b", "1", "-c", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCount:
@@ -179,6 +213,15 @@ class TestConverge:
         assert code == 1
         assert "sizes" in err
 
+    def test_overflowing_proportion_rejected(self, capsys):
+        code, out, err = run(
+            capsys,
+            "converge", "--alpha", "1e308", "--beta", "1", "--gamma", "1",
+            "--case", "central", "--sizes", "10",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: proportion alpha=1e+308 times size 10 overflows a float\n"
+
 
 class TestVerify:
     def test_core_suite_passes(self, capsys):
@@ -242,6 +285,25 @@ class TestVerify:
         assert "DET_FACTOR_CENTRAL a=2 grid=-6..6 point=(-6,-6) FAIL residual=-1" in out
         assert "DET_FACTOR_ALMOST_CENTRAL a=2 grid=-6..6 PASS" in out
         assert out.splitlines()[-1] == "SUMMARY suite=detfactor checks=5 failures=1"
+
+    def test_broken_triple_sum_weight_exits_two(self, capsys, monkeypatch):
+        # (b+c+s)_{a-s} one factor too long in every weight of the integer triple sum
+        broken = mutant(formulas, "triple_sum_count", "range(b + c + s, b + c + a)", "range(b + c + s, b + c + a + 1)")
+        monkeypatch.setattr(formulas, "triple_sum_count", broken)
+        code, out, _ = run(capsys, "verify", "--suite", "core", "--max-a", "3")
+        assert code == 2
+        failing = [line for line in out.splitlines() if " FAIL " in line]
+        assert failing[0] == "ORACLE_BOX a=1 b=1 c=1 FAIL residual=2"
+        assert {line.split()[0] for line in failing} == {"ORACLE_BOX", "ROUTES_CENTRAL", "ROUTES_ALMOST_CENTRAL"}
+
+    def test_broken_4h_term_exits_two(self, capsys, monkeypatch):
+        # the sign of the second of the four terms of 4H flipped
+        broken = mutant(factorcheck, "_h4", "        - (c - i + j)", "        + (c - i + j)")
+        monkeypatch.setattr(factorcheck, "_h4", broken)
+        code, out, _ = run(capsys, "verify", "--suite", "detfactor", "--max-a", "2")
+        assert code == 2
+        assert "DET_FACTOR_CENTRAL a=2 grid=-6..6 point=(-6,-6) FAIL residual=540" in out
+        assert "DET_FACTOR_ALMOST_CENTRAL a=2 grid=-6..6 point=(-6,-6) FAIL residual=540" in out
 
 
 class TestUsageErrors:

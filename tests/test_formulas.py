@@ -1,5 +1,6 @@
 """Counting formulas: totals, triple sum, closed forms, asymptotics."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -28,11 +29,24 @@ from hexcount.geometry import (
     almost_central_pos,
     central_pos,
 )
-from hexcount.pathcount import count_fixed
+from hexcount.pathcount import count_fixed, heatmap
 
 dims_strategy = st.builds(
     HexDims, st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)
 )
+
+
+def box_product(a, b, c):
+    """MacMahon's product of (i+j+k-1)/(i+j+k-2) over the a x b x c box, factor by factor."""
+    cells = [(i, j, k) for i in range(1, a + 1) for j in range(1, b + 1) for k in range(1, c + 1)]
+    return Fraction(math.prod(i + j + k - 1 for i, j, k in cells), math.prod(i + j + k - 2 for i, j, k in cells))
+
+
+def factorial_form(a, b, c):
+    """The product over i = 1..a of (i+b+c-1)!(i-1)! / ((i+c-1)!(i+b-1)!), as one fraction."""
+    f = math.factorial
+    numerator = math.prod(f(i + b + c - 1) * f(i - 1) for i in range(1, a + 1))
+    return Fraction(numerator, math.prod(f(i + c - 1) * f(i + b - 1) for i in range(1, a + 1)))
 
 
 class TestMacmahonTotal:
@@ -64,11 +78,17 @@ class TestMacmahonTotal:
 
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8))
     def test_factorial_product(self, a, b, c):
-        f = math.factorial
-        expected = math.prod(
-            Fraction(f(i + b + c - 1) * f(i - 1), f(i + c - 1) * f(i + b - 1)) for i in range(1, a + 1)
-        )
-        assert macmahon_total(HexDims(a, b, c)) == expected
+        assert macmahon_total(HexDims(a, b, c)) == factorial_form(a, b, c)
+
+    def test_box_product_on_every_permutation(self):
+        # every ordering of every side triple <= 6, so each choice of smallest side is covered
+        for sides in itertools.product(range(1, 7), repeat=3):
+            assert macmahon_total(HexDims(*sides)) == box_product(*sides), sides
+
+    @pytest.mark.parametrize("sides", [(3, 3, 3000), (3000, 3, 3), (100, 100, 100)])
+    def test_large_sides_match_factorial_form(self, sides):
+        # the reference loops over its first side, so it gets the shortest
+        assert macmahon_total(HexDims(*sides)) == factorial_form(*sorted(sides))
 
 
 class TestTripleSum:
@@ -84,6 +104,12 @@ class TestTripleSum:
         dims = HexDims(a, b, c)
         pos = RhombusPos(xseed % (a + b), yseed % (a + c))
         assert triple_sum_count(dims, pos) == count_fixed(dims, pos)
+
+    def test_matches_heatmap_on_every_cell(self):
+        for sides in [*itertools.product(range(1, 6), repeat=3), (9, 4, 13)]:
+            dims = HexDims(*sides)
+            counts = {pos: triple_sum_count(dims, pos) for pos in dims.positions()}
+            assert counts == heatmap(dims).counts, sides
 
     def test_rejects_outside_box(self):
         with pytest.raises(ValueError, match="outside the admissible box"):
@@ -235,6 +261,10 @@ class TestNearestDims:
     def test_other_class_rejected(self):
         with pytest.raises(ValueError):
             nearest_dims(AsymptoticInput(1, 1, 1), 5, ParityClass.OTHER)
+
+    def test_overflowing_proportion_rejected(self):
+        with pytest.raises(ValueError, match=r"proportion alpha=1e\+308 times size 10 overflows"):
+            nearest_dims(AsymptoticInput(1e308, 1, 1), 10, ParityClass.CENTRAL)
 
 
 class TestConvergence:

@@ -195,6 +195,17 @@ class TestHeatmap:
             mirror = RhombusPos(a + b - pos.x, a + c - 1 - pos.y)
             assert count == (0 if pos.x == 0 else counts[mirror])
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
+    def test_swap_of_a_and_b(self, a, b, c):
+        # Swapping the sides a and b keeps horizontal rhombi horizontal and
+        # maps the step ending at (x, y) to the one ending at (x, x-y+c-1);
+        # a target outside the swapped box counts 0.
+        counts = heatmap(HexDims(a, b, c)).counts
+        swapped = heatmap(HexDims(b, a, c)).counts
+        for pos, count in counts.items():
+            assert count == swapped.get(RhombusPos(pos.x, pos.x - pos.y + c - 1), 0)
+
     def test_probability_is_exact(self):
         grid = heatmap(HexDims(2, 2, 2))
         assert Fraction(grid.counts[RhombusPos(2, 2)], grid.total) == Fraction(3, 10)
