@@ -1,9 +1,9 @@
 """Exact integer and rational arithmetic primitives.
 
 Every count in this package is an exact integer and every probability an
-exact rational, so all combinatorial building blocks live on top of
-Python's unbounded ``int`` and ``fractions.Fraction``.  The conventions
-matter more than the formulas:
+exact rational.  The building blocks work on Python's unbounded ``int``,
+with ``fractions.Fraction`` only where a value is rational.  The
+conventions matter more than the formulas:
 
 * ``binomial(n, k)`` is defined for arbitrary integer ``n`` (including
   negative) through the falling factorial n(n-1)...(n-k+1)/k!, and is 0
@@ -11,6 +11,7 @@ matter more than the formulas:
   identities used elsewhere hold verbatim.
 * ``pochhammer(q, k)`` is the rising factorial q(q+1)...(q+k-1) with
   ``pochhammer(q, 0) = 1``; the shift count ``k`` must be nonnegative.
+  It is one integer product reduced by one gcd, returned as a Fraction.
 
 Values never leave exact arithmetic here; callers decide when (if ever)
 to drop to floating point.
@@ -47,10 +48,9 @@ def binomial(n: int, k: int) -> int:
 
 
 def pochhammer(q: Rational, k: int) -> Fraction:
-    """Rising factorial q(q+1)...(q+k-1); k must be nonnegative."""
+    """Rising factorial q(q+1)...(q+k-1) = n(n+d)...(n+(k-1)d) / d**k for q = n/d; k >= 0."""
     if k < 0:
         raise ValueError(f"pochhammer expects a nonnegative shift count, got {k}")
-    # With q = n/d the product is n(n+d)...(n+(k-1)d) / d**k: one gcd, not k.
     n, d = Fraction(q).as_integer_ratio()
     return Fraction(math.prod(range(n, n + k * d, d)), d**k)
 

@@ -8,8 +8,9 @@ distinguished center positions boils down to an order a-1 matrix whose
 
 with H a fixed quartic and (x, y) specialized to x = (a+b)/2 and either
 y = (a+c-1)/2 (the CENTRAL parity class) or y = (a+c)/2 (ALMOST_CENTRAL).
-Entries are polynomials in b and c.  This module checks two families of
-statements about them with exact rational arithmetic:
+4H is an integer polynomial in b, c, 2x and 2y, evaluated in the type of
+b and c (integers on the grid, Fractions at the rational identity points)
+and divided by 4 once per entry.  Two families of statements are checked:
 
 * factored closed forms for the determinants themselves (products of
   linear factors times a terminating sum), certified by evaluating both

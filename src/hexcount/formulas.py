@@ -9,7 +9,8 @@ Three independent exact routes are implemented:
   for the rhombus covering (or just above) the hexagon's center, valid in
   the matching parity class.
 
-All three assemble exact rationals and assert integrality at the end; a
+The total and the triple sum run on integers with exact divisions; the
+closed forms assemble exact rationals.  Each asserts integrality, and a
 non-integral result means the implementation (not the input) is wrong.
 The asymptotic occupation probability of the center under proportions
 (alpha, beta, gamma) is the arcsine expression implemented by
