@@ -23,8 +23,10 @@ CASES = {
         "count", "-a", "14", "-b", "14", "-c", "15", "-x", "14", "-y", "14", "--method", "triple",
     ],
     "count_oracle": ["count", "-a", "2", "-b", "3", "-c", "3", "-x", "2", "-y", "2", "--method", "oracle"],
+    "count_oracle_large": ["count", "-a", "3", "-b", "3", "-c", "3", "-x", "3", "-y", "3", "--method", "oracle"],
     "central_closed": ["central", "-a", "3", "-b", "3", "-c", "2", "--method", "closed"],
     "central_closed_large": ["central", "-a", "13", "-b", "13", "-c", "14", "--method", "closed"],
+    "central_closed_even_large": ["central", "-a", "14", "-b", "14", "-c", "13", "--method", "closed"],
     "central_lgv": ["central", "-a", "3", "-b", "3", "-c", "2", "--method", "lgv"],
     "central_triple": ["central", "-a", "3", "-b", "3", "-c", "2", "--method", "triple"],
     "central_oracle": ["central", "-a", "3", "-b", "3", "-c", "2", "--method", "oracle"],
