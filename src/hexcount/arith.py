@@ -26,13 +26,6 @@ from typing import Union
 Rational = Union[int, Fraction]
 
 
-def factorial(n: int) -> int:
-    """n! for nonnegative integer n."""
-    if n < 0:
-        raise ValueError(f"factorial expects a nonnegative integer, got {n}")
-    return math.factorial(n)
-
-
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient with integer (possibly negative) upper argument.
 

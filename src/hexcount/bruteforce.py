@@ -4,31 +4,23 @@ This module is the trust anchor for the formula routes.  It knows nothing
 about determinants or summation identities: it generates each path's
 RIGHT/DOWN step sequences independently, keeps a family only if the
 paths are pairwise vertex-disjoint, and counts.  Exhaustive enumeration
-explodes quickly, so a static budget on the candidate-family count
-a * binomial(b+c, b)**a guards every call.
+explodes quickly, so one constant, ``BUDGET``, caps the candidate-family
+count a * binomial(b+c, b)**a; ``families`` refuses a hexagon past it
+before any work.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from .arith import binomial
 from .geometry import HexDims, PathPoint, RhombusPos, check_position, endpoints
 
-DEFAULT_BUDGET = 10**8
+BUDGET = 10**8
 
 Path = Tuple[PathPoint, ...]
 Family = Tuple[Path, ...]
-
-
-def _check_budget(dims: HexDims, budget: int) -> None:
-    candidates = dims.a * binomial(dims.b + dims.c, dims.b) ** dims.a
-    if candidates > budget:
-        raise ValueError(
-            f"brute-force enumeration needs {candidates} candidate families for sides "
-            f"({dims.a}, {dims.b}, {dims.c}), over the budget of {budget}"
-        )
 
 
 def paths_between(start: PathPoint, end: PathPoint) -> List[Path]:
@@ -64,61 +56,45 @@ def family_is_disjoint(paths: Family) -> bool:
     return True
 
 
-def enumerate_families(
-    dims: HexDims,
-    visitor: Optional[Callable[[Family], None]] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
-    """Count non-intersecting families; optionally stream each one to a visitor."""
-    _check_budget(dims, budget)
+def families(dims: HexDims) -> Iterator[Family]:
+    """Every non-intersecting path family, one tuple of paths in start order at a time."""
+    candidates = dims.a * binomial(dims.b + dims.c, dims.b) ** dims.a
+    if candidates > BUDGET:
+        raise ValueError(
+            f"brute-force enumeration needs {candidates} candidate families for sides "
+            f"({dims.a}, {dims.b}, {dims.c}), over the budget of {BUDGET}"
+        )
     starts, ends = endpoints(dims)
-    options = [paths_between(starts[i], ends[i]) for i in range(dims.a)]
-    point_sets = [[frozenset(p) for p in paths] for paths in options]
+    options = [[(path, frozenset(path)) for path in paths_between(s, e)] for s, e in zip(starts, ends)]
 
-    count = 0
-    chosen: List[Path] = []
-
-    def extend(index: int, used: FrozenSet[PathPoint]) -> None:
-        nonlocal count
+    def extend(index: int, used: FrozenSet[PathPoint], chosen: Family) -> Iterator[Family]:
         if index == dims.a:
-            count += 1
-            if visitor is not None:
-                visitor(tuple(chosen))
+            yield chosen
             return
-        for path, points in zip(options[index], point_sets[index]):
-            if used & points:
-                continue
-            chosen.append(path)
-            extend(index + 1, used | points)
-            chosen.pop()
+        for path, points in options[index]:
+            if not used & points:
+                yield from extend(index + 1, used | points, chosen + (path,))
 
-    extend(0, frozenset())
-    return count
+    yield from extend(0, frozenset(), ())
 
 
-def _crossing_steps(family: Family) -> List[RhombusPos]:
-    """Addresses (end points) of every RIGHT step in the family."""
-    addresses = []
-    for path in family:
-        for before, after in zip(path, path[1:]):
-            if after.col == before.col + 1:
-                addresses.append(RhombusPos(after.col, after.row))
-    return addresses
+def enumerate_families(dims: HexDims) -> int:
+    """Number of non-intersecting path families."""
+    return sum(1 for _ in families(dims))
 
 
-def oracle_count_fixed(dims: HexDims, pos: RhombusPos, budget: int = DEFAULT_BUDGET) -> int:
+def oracle_count_fixed(dims: HexDims, pos: RhombusPos) -> int:
     """Families in which some path takes the RIGHT step (x-1, y) -> (x, y)."""
     check_position(dims, pos)
-    return oracle_occupation(dims, budget)[pos]
+    return oracle_occupation(dims)[pos]
 
 
-def oracle_occupation(dims: HexDims, budget: int = DEFAULT_BUDGET) -> Dict[RhombusPos, int]:
-    """Occupation count of every box position from one enumeration pass."""
+def oracle_occupation(dims: HexDims) -> Dict[RhombusPos, int]:
+    """Occupation count of every box position (a RIGHT step's end point) from one enumeration pass."""
     counts: Dict[RhombusPos, int] = {pos: 0 for pos in dims.positions()}
-
-    def visit(family: Family) -> None:
-        for address in _crossing_steps(family):
-            counts[address] += 1
-
-    enumerate_families(dims, visitor=visit, budget=budget)
+    for family in families(dims):
+        for path in family:
+            for before, after in zip(path, path[1:]):
+                if after.col == before.col + 1:
+                    counts[RhombusPos(after.col, after.row)] += 1
     return counts

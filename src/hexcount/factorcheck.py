@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .arith import Rational, factorial, half, pochhammer
+from .arith import Rational, half, pochhammer
 from .geometry import ParityClass
 from . import formulas, pathcount
 
@@ -63,11 +63,6 @@ def _h4(b: Rational, c: Rational, X: Rational, Y: Rational, i: int, j: int) -> R
         - (b + i - j) * (b + i - j + 1) * (Y - 2 * i + 4) * (2 * c - Y + 2 * j - 2)
         + (b + i - j + 1) * (c - i + j + 1) * (X - 2 * j + 2) * (Y - 2 * i + 4)
     )
-
-
-def h_poly(b: Rational, c: Rational, x: Rational, y: Rational, i: int, j: int) -> Fraction:
-    """The quartic entry factor H."""
-    return Fraction(_h4(b, c, 2 * x, 2 * y, i, j), 4)
 
 
 def build_poly_matrix(a: int, variant: ParityClass, b: Rational, c: Rational) -> RatMatrix:
@@ -106,7 +101,7 @@ def det_rational(matrix: RatMatrix) -> Fraction:
 
 
 def _shared_prefactor(a: int, b: Rational, c: Rational) -> Fraction:
-    return math.prod(pochhammer(1 + b + c, i - 1) * factorial(i) for i in range(1, a))
+    return math.prod(pochhammer(1 + b + c, i - 1) * math.factorial(i) for i in range(1, a))
 
 
 def factored_det_central(a: int, b: Rational, c: Rational) -> Fraction:

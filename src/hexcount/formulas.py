@@ -131,30 +131,19 @@ def central_sum(a: int, b: Rational, c: Rational) -> Fraction:
 
     ``closed_central`` multiplies it by its prefactor, and so does the
     factored determinant in ``factorcheck``, where b and c are rational.
+    The two parities differ only in ``shift``: c+1 for odd a is c+2 for even a.
     """
+    n, shift = (a - 1) // 2, a % 2
     acc = Fraction(0)
-    if a % 2 == 1:
-        for k in range((a - 1) // 2 + 1):
-            tail = (a - 2 * k - 1) // 2
-            acc += (
-                pochhammer(half(c + 1), k)
-                * pochhammer(half(1 + b + c), k)
-                * pochhammer(half(c + 2 * k + 2), tail)
-                * pochhammer(half(b + c + 2 * k + 3), tail)
-                * pochhammer(half(1), tail)
-                / pochhammer(1, tail)
-            )
-    else:
-        for k in range((a - 2) // 2 + 1):
-            tail = (a - 2 * k - 2) // 2
-            acc += (
-                pochhammer(half(c + 2), k)
-                * pochhammer(half(1 + b + c), k)
-                * pochhammer(half(c + 2 * k + 3), tail)
-                * pochhammer(half(b + c + 2 * k + 3), tail)
-                * pochhammer(half(1), tail)
-                / pochhammer(1, tail)
-            )
+    for k in range(n + 1):
+        acc += (
+            pochhammer(half(c + 2 - shift), k)
+            * pochhammer(half(1 + b + c), k)
+            * pochhammer(half(c + 2 * k + 3 - shift), n - k)
+            * pochhammer(half(b + c + 2 * k + 3), n - k)
+            * pochhammer(half(1), n - k)
+            / math.factorial(n - k)
+        )
     return acc
 
 

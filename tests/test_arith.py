@@ -10,25 +10,9 @@ from hypothesis import strategies as st
 from hexcount.arith import (
     as_integer,
     binomial,
-    factorial,
     half,
     pochhammer,
 )
-
-
-class TestFactorial:
-    def test_small_values(self):
-        assert factorial(0) == 1
-        assert factorial(1) == 1
-        assert factorial(5) == 120
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            factorial(-1)
-
-    def test_exact_at_large_argument(self):
-        assert factorial(52) == math.factorial(52)
-        assert factorial(52) % 10**12 != factorial(52)  # exceeds fixed width
 
 
 class TestBinomial:
@@ -63,7 +47,7 @@ class TestPochhammer:
 
     def test_integer_rising(self):
         assert pochhammer(3, 4) == 3 * 4 * 5 * 6
-        assert pochhammer(1, 5) == factorial(5)
+        assert pochhammer(1, 5) == math.factorial(5)
 
     def test_rational_rising(self):
         assert pochhammer(Fraction(1, 2), 3) == Fraction(1 * 3 * 5, 8)
@@ -98,7 +82,7 @@ class TestPochhammer:
 
     @given(st.integers(1, 30), st.integers(0, 10))
     def test_factorial_quotient(self, n, k):
-        assert pochhammer(n, k) == Fraction(factorial(n + k - 1), factorial(n - 1))
+        assert pochhammer(n, k) == Fraction(math.factorial(n + k - 1), math.factorial(n - 1))
 
 
 class TestHalf:

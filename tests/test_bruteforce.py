@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hexcount import bruteforce
 from hexcount.bruteforce import (
     enumerate_families,
+    families,
     family_is_disjoint,
     oracle_count_fixed,
     oracle_occupation,
@@ -68,23 +70,28 @@ class TestEnumerateFamilies:
     def test_known_totals(self, sides, expected):
         assert enumerate_families(HexDims(*sides)) == expected
 
-    def test_visitor_sees_every_family_disjoint(self):
-        seen = []
-        count = enumerate_families(HexDims(2, 2, 1), visitor=seen.append)
-        assert len(seen) == count == 6
+    def test_families_are_disjoint(self):
+        seen = list(families(HexDims(2, 2, 1)))
+        assert len(seen) == enumerate_families(HexDims(2, 2, 1)) == 6
+        assert len(set(seen)) == 6
         assert all(family_is_disjoint(f) for f in seen)
         assert all(len(f) == 2 for f in seen)
 
-    def test_budget_exceeded_names_budget(self):
+    def test_budget_exceeded_names_budget(self, monkeypatch):
+        monkeypatch.setattr(bruteforce, "BUDGET", 100)
         with pytest.raises(ValueError, match="budget of 100"):
-            enumerate_families(HexDims(3, 3, 3), budget=100)
+            enumerate_families(HexDims(3, 3, 3))
 
-    def test_budget_is_static_precheck(self):
+    def test_budget_is_static_precheck(self, monkeypatch):
         # the guard fires before any work, based on the candidate count
         candidates = 3 * math.comb(6, 3) ** 3
+        monkeypatch.setattr(bruteforce, "BUDGET", candidates - 1)
         with pytest.raises(ValueError, match=str(candidates)):
-            enumerate_families(HexDims(3, 3, 3), budget=candidates - 1)
-        assert enumerate_families(HexDims(3, 3, 3), budget=candidates) == 980
+            next(families(HexDims(3, 3, 3)))
+        with pytest.raises(ValueError, match=str(candidates)):
+            oracle_occupation(HexDims(3, 3, 3))
+        monkeypatch.setattr(bruteforce, "BUDGET", candidates)
+        assert enumerate_families(HexDims(3, 3, 3)) == 980
 
 
 class TestOracleCounts:

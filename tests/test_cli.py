@@ -296,6 +296,25 @@ class TestVerify:
         assert failing[0] == "ORACLE_BOX a=1 b=1 c=1 FAIL residual=2"
         assert {line.split()[0] for line in failing} == {"ORACLE_BOX", "ROUTES_CENTRAL", "ROUTES_ALMOST_CENTRAL"}
 
+    def test_integrality_error_is_one_fail_record(self, capsys, monkeypatch, tmp_path):
+        # C(m, s-1) for C(m-1, s-1) makes the triple sum's final division inexact
+        broken = mutant(formulas, "triple_sum_count", "binomial(m - 1, s - 1)", "binomial(m, s - 1)")
+        monkeypatch.setattr(formulas, "triple_sum_count", broken)
+        target = tmp_path / "records.json"
+        code, out, err = run(capsys, "verify", "--suite", "core", "--max-a", "3", "--json", str(target))
+        assert (code, err) == (2, "")
+        lines = out.splitlines()
+        assert [line for line in lines if " FAIL " in line] == [
+            "ORACLE_BOX max_a=3 FAIL residual=triple_sum_count at (1, 0): expected an integer",
+            "ROUTES max_a=3 FAIL residual=triple_sum_count at (2, 2): expected an integer",
+        ]
+        # the checks that never call the triple sum still run and pass
+        names = [line.split()[0] for line in lines]
+        assert (names.count("ORACLE_TOTAL"), names.count("SUM_RULE"), names.count("ARCSIN_SYMMETRIC")) == (31, 27, 1)
+        assert lines[-1] == "SUMMARY suite=core checks=63 failures=2"
+        records = json.loads(target.read_text())
+        assert [r["identity"] for r in records if not r["pass"]] == ["ORACLE_BOX", "ROUTES"]
+
     def test_broken_4h_term_exits_two(self, capsys, monkeypatch):
         # the sign of the second of the four terms of 4H flipped
         broken = mutant(factorcheck, "_h4", "        - (c - i + j)", "        + (c - i + j)")

@@ -25,7 +25,6 @@ from hexcount.factorcheck import (
     factored_det_almost_central,
     factored_det_central,
     grid_values,
-    h_poly,
     p_poly,
 )
 from hexcount.geometry import ParityClass
@@ -42,22 +41,24 @@ def leibniz_det(matrix):
 
 
 class TestHPoly:
+    """The quartic H through ``_h4``, which returns 4H at X = 2x, Y = 2y: each expected value is four times H."""
+
     def test_all_zero_parameters(self):
-        assert h_poly(0, 0, 0, 0, 2, 2) == 1
+        assert factorcheck._h4(0, 0, 0, 0, 2, 2) == 4
 
     def test_reduction_to_quarter_product(self):
         # at a=2 center values the quartic collapses to b(c+1)(1+b+c)/4
-        assert h_poly(2, 1, 2, 1, 2, 2) == 4
+        assert factorcheck._h4(2, 1, 4, 2, 2, 2) == 16
         b, c = Fraction(7, 2), Fraction(3)
         x, y = (2 + b) / 2, (2 + c - 1) / 2
-        assert h_poly(b, c, x, y, 2, 2) == b * (c + 1) * (1 + b + c) / 4
+        assert factorcheck._h4(b, c, 2 * x, 2 * y, 2, 2) == b * (c + 1) * (1 + b + c)
 
     def test_forced_zero_pattern(self):
         # (b+i-j+1) = 0, (c-i+j) = 0, (y-i+2) = 0 kills every term
-        assert h_poly(-1, 0, 5, 0, 2, 2) == 0
+        assert factorcheck._h4(-1, 0, 10, 0, 2, 2) == 0
 
     def test_rational_arguments(self):
-        value = h_poly(Fraction(1, 2), Fraction(1, 3), 1, 1, 2, 3)
+        value = factorcheck._h4(Fraction(1, 2), Fraction(1, 3), 2, 2, 2, 3)
         assert isinstance(value, Fraction)
 
 
@@ -125,9 +126,10 @@ class TestFactoredDeterminants:
         # the (b/2)_{a/2} factor vanishes at b = 0
         assert factored_det_almost_central(2, 0, 2) == 0
 
-    @pytest.mark.parametrize("a", [2, 3, 4])
+    @pytest.mark.parametrize("a", [2, 3, 4, 5])
     def test_matches_determinant_on_spots(self, a):
-        for b, c in [(1, 2), (2, 2), (-3, 4), (Fraction(5, 2), 1)]:
+        # a polynomial identity, so rational b and c count as much as integers
+        for b, c in [(1, 2), (2, 2), (-3, 4), (Fraction(5, 2), 1), (Fraction(-7, 3), Fraction(13, 4))]:
             central = build_poly_matrix(a, ParityClass.CENTRAL, b, c)
             assert factored_det_central(a, b, c) == det_rational(central)
             hat = build_poly_matrix(a, ParityClass.ALMOST_CENTRAL, b, c)
