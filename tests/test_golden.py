@@ -33,6 +33,8 @@ CASES = {
     "central_even_a": ["central", "-a", "4", "-b", "6", "-c", "5"],
     "almost_central": ["almost-central", "-a", "3", "-b", "5", "-c", "3"],
     "almost_central_even_a": ["almost-central", "-a", "4", "-b", "2", "-c", "6"],
+    "almost_central_odd_large": ["almost-central", "-a", "13", "-b", "15", "-c", "11", "--method", "closed"],
+    "almost_central_even_large": ["almost-central", "-a", "14", "-b", "16", "-c", "12", "--method", "closed"],
     "heatmap_csv": ["heatmap", "-a", "3", "-b", "2", "-c", "3", "--format", "csv"],
     "heatmap_json": ["heatmap", "-a", "3", "-b", "2", "-c", "3", "--format", "json"],
     "heatmap_skew_csv": ["heatmap", "-a", "5", "-b", "3", "-c", "7", "--format", "csv"],
