@@ -195,10 +195,11 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _run_check(check: Callable[[int], List[CheckRecord]], max_a: int) -> List[CheckRecord]:
-    # A layer that trips its own integrality check fails the whole check, not the command.
+    # A layer that trips its own integrality or domain check fails the whole check, not the command;
+    # the check's inputs are internal and --max-a is validated before any check runs.
     try:
         return check(max_a)
-    except ArithmeticError as err:
+    except (ArithmeticError, ValueError) as err:
         return [CheckRecord(check.__name__.upper(), {"max_a": str(max_a)}, False, str(err))]
 
 

@@ -23,6 +23,7 @@ Determinants clear each row's denominators and run the fraction-free
 integer engine of ``pathcount``.  The terminating sums inside the factored
 forms are the functions ``formulas`` uses for the closed-form counts, so
 grid certification checks the code that counts.
+Both factored forms carry the parity of a as a shift s = a % 2, not as a branch.
 """
 
 from __future__ import annotations
@@ -101,51 +102,38 @@ def det_rational(matrix: RatMatrix) -> Fraction:
 
 
 def _shared_prefactor(a: int, b: Rational, c: Rational) -> Fraction:
-    return math.prod(pochhammer(1 + b + c, i - 1) * math.factorial(i) for i in range(1, a))
+    """The part both factored determinants share; s = a % 2 shifts the half-integer arguments."""
+    s = a % 2
+    return (
+        math.prod(pochhammer(1 + b + c, i - 1) * math.factorial(i) for i in range(1, a))
+        * 2 ** (a - 1)
+        * pochhammer(half(b + s), a // 2)
+        * pochhammer(half(b + 2 - s), (a - 1) // 2)
+    )
 
 
 def factored_det_central(a: int, b: Rational, c: Rational) -> Fraction:
     """Factored closed form of det(build_poly_matrix(a, CENTRAL, b, c))."""
     if a < 2:
         raise ValueError(f"requires a >= 2, got a={a}")
-    value = _shared_prefactor(a, b, c)
-    if a % 2 == 1:
-        value *= (
-            2 ** (a - 1)
-            * pochhammer(half(b + 1), (a - 1) // 2) ** 2
-            * pochhammer(half(c + 2), (a - 1) // 2)
-            * pochhammer(half(1 + b + c), (a - 1) // 2)
-        )
-    else:
-        value *= (
-            2 ** (a - 2)
-            * b
-            * pochhammer(half(b + 2), (a - 2) // 2) ** 2
-            * pochhammer(half(c + 1), a // 2)
-            * pochhammer(half(1 + b + c), a // 2)
-        )
-    return value * formulas.central_sum(a, b, c)
+    return (
+        _shared_prefactor(a, b, c)
+        * pochhammer(half(c + 1 + a % 2), a // 2)
+        * pochhammer(half(1 + b + c), a // 2)
+        * formulas.central_sum(a, b, c)
+    )
 
 
 def factored_det_almost_central(a: int, b: Rational, c: Rational) -> Fraction:
     """Factored closed form of det(build_poly_matrix(a, ALMOST_CENTRAL, b, c))."""
     if a < 2:
         raise ValueError(f"requires a >= 2, got a={a}")
-    value = _shared_prefactor(a, b, c) * 2 ** (a - 1)
-    if a % 2 == 1:
-        value *= (
-            pochhammer(half(b + 1), (a - 1) // 2) ** 2
-            * pochhammer(half(c + 1), (a - 1) // 2)
-            * pochhammer(half(2 + b + c), (a - 1) // 2)
-        )
-    else:
-        value *= (
-            pochhammer(half(b), a // 2)
-            * pochhammer(half(b + 2), (a - 2) // 2)
-            * pochhammer(half(c + 2), (a - 2) // 2)
-            * pochhammer(half(2 + b + c), (a - 2) // 2)
-        )
-    return value * formulas.almost_central_sum(a, b, c)
+    return (
+        _shared_prefactor(a, b, c)
+        * pochhammer(half(c + 2 - a % 2), (a - 1) // 2)
+        * pochhammer(half(2 + b + c), (a - 1) // 2)
+        * formulas.almost_central_sum(a, b, c)
+    )
 
 
 def p_poly(n: int, c: Rational) -> Fraction:
@@ -168,17 +156,11 @@ def _ratio(numerator: Fraction, denominator: Fraction) -> Fraction:
 
 
 def _c_factor_coeffs(a: int, k: int, b: Fraction, shifted: bool) -> Dict[int, Fraction]:
-    lo = (a - k + 2 + (0 if shifted else 1)) // 2
+    t = int(shifted)
     coeffs = {}
-    for i in range(lo, a - k + 2):
+    for i in range((a - k + 3 - t) // 2, a - k + 2):
         m = a - k + 1 - i
-        if shifted:
-            sign = (-1) ** (i - 1)
-            rising = pochhammer(half(-a + k - 2 + 2 * i), m)
-        else:
-            sign = (-1) ** i
-            rising = pochhammer(half(-a + k - 1 + 2 * i), m)
-        numerator = sign * pochhammer(b + i, m) * rising
+        numerator = (-1) ** (i - t) * pochhammer(b + i, m) * pochhammer(half(-a + k - 1 - t + 2 * i), m)
         denominator = pochhammer(1, m) * pochhammer(half(b - a + 2 * i - 2), m)
         coeffs[i] = _ratio(numerator, denominator)
     return coeffs

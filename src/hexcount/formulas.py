@@ -191,60 +191,32 @@ def almost_central_sum(a: int, b: Rational, c: Rational) -> Fraction:
     return acc
 
 
+def _closed_prefactor(dims: HexDims, top: int, q: int) -> Fraction:
+    """total * c! / (b+1)_{c+a-1} * 2^(a-1) * C(top, q) * C((a+b+c-1)//2, q), shared by both closed forms."""
+    a, b, c = dims.a, dims.b, dims.c
+    return (
+        Fraction(macmahon_total(dims))
+        * pochhammer(1, c)
+        / pochhammer(b + 1, c + a - 1)
+        * binomial(top, q)
+        * binomial((a + b + c - 1) // 2, q)
+        * 2 ** (a - 1)
+    )
+
+
 def closed_central(dims: HexDims) -> int:
-    """Closed form for the count at central_pos(dims); CENTRAL parity only."""
+    """Closed form for the count at central_pos(dims); CENTRAL only, so a, b share a parity and c has the other."""
     central_pos(dims)  # validates the parity class
     a, b, c = dims.a, dims.b, dims.c
-    total = Fraction(macmahon_total(dims))
-    if a % 2 == 1:
-        # a, b odd and c even.
-        prefactor = (
-            total
-            * pochhammer(1, c)
-            / pochhammer(b + 1, c + a - 1)
-            * binomial((b + c - 1) // 2, (b - 1) // 2)
-            * binomial((a + b + c - 2) // 2, (b - 1) // 2)
-            * 2 ** (a - 1)
-        )
-    else:
-        # a, b even and c odd.
-        prefactor = (
-            total
-            * b
-            * pochhammer(1, c)
-            / pochhammer(b + 1, c + a - 1)
-            * binomial((b + c - 1) // 2, b // 2)
-            * binomial((a + b + c - 1) // 2, b // 2)
-            * 2 ** (a - 2)
-        )
+    prefactor = _closed_prefactor(dims, (b + c - 1) // 2, b // 2) * half(b) ** (1 - a % 2)
     return as_integer(prefactor * central_sum(a, b, c), "closed_central")
 
 
 def closed_almost_central(dims: HexDims) -> int:
-    """Closed form for the count at almost_central_pos(dims); ALMOST_CENTRAL only."""
+    """Closed form for the count at almost_central_pos(dims); ALMOST_CENTRAL only, so a, b, c share a parity."""
     almost_central_pos(dims)  # validates the parity class
     a, b, c = dims.a, dims.b, dims.c
-    total = Fraction(macmahon_total(dims))
-    if a % 2 == 1:
-        # a, b, c all odd.
-        prefactor = (
-            total
-            * pochhammer(1, c)
-            / pochhammer(b + 1, c + a - 1)
-            * binomial((b + c - 2) // 2, (b - 1) // 2)
-            * binomial((a + b + c - 1) // 2, (b - 1) // 2)
-            * 2 ** (a - 1)
-        )
-    else:
-        # a, b, c all even.
-        prefactor = (
-            total
-            * pochhammer(1, c)
-            / pochhammer(b, c + a)
-            * binomial((b + c - 2) // 2, (b - 2) // 2)
-            * binomial((a + b + c - 2) // 2, (b - 2) // 2)
-            * 2**a
-        )
+    prefactor = _closed_prefactor(dims, (b + c - 2) // 2, (b - 1) // 2) / half(b) ** (1 - a % 2)
     return as_integer(prefactor * almost_central_sum(a, b, c), "closed_almost_central")
 
 

@@ -315,6 +315,20 @@ class TestVerify:
         records = json.loads(target.read_text())
         assert [r["identity"] for r in records if not r["pass"]] == ["ORACLE_BOX", "ROUTES"]
 
+    def test_domain_error_is_one_fail_record(self, capsys, monkeypatch):
+        # p_poly one step too low reaches n = 0, which p_poly rejects with a ValueError
+        broken = mutant(factorcheck, "_b_factor_coeffs", "p_poly(i - k - 2,", "p_poly(i - k - 3,")
+        monkeypatch.setattr(factorcheck, "_b_factor_coeffs", broken)
+        code, out, err = run(capsys, "verify", "--suite", "detfactor", "--max-a", "5")
+        assert (code, err) == (2, "")
+        lines = out.splitlines()
+        assert len(lines) == 10
+        assert all(line.startswith("DET_FACTOR_") and " PASS " in line for line in lines[:8])
+        assert lines[8:] == [
+            "ROW_IDENTITIES max_a=5 FAIL residual=p_poly is defined for n >= 1, got 0",
+            "SUMMARY suite=detfactor checks=9 failures=1",
+        ]
+
     def test_broken_4h_term_exits_two(self, capsys, monkeypatch):
         # the sign of the second of the four terms of 4H flipped
         broken = mutant(factorcheck, "_h4", "        - (c - i + j)", "        + (c - i + j)")

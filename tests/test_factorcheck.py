@@ -138,8 +138,10 @@ class TestFactoredDeterminants:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 4), st.integers(-6, 6), st.integers(-6, 6))
     def test_matches_determinant_on_random_grid_points(self, a, b, c):
-        matrix = build_poly_matrix(a, ParityClass.CENTRAL, b, c)
-        assert factored_det_central(a, b, c) == det_rational(matrix)
+        central = build_poly_matrix(a, ParityClass.CENTRAL, b, c)
+        assert factored_det_central(a, b, c) == det_rational(central)
+        hat = build_poly_matrix(a, ParityClass.ALMOST_CENTRAL, b, c)
+        assert factored_det_almost_central(a, b, c) == det_rational(hat)
 
 
 class TestPPoly:

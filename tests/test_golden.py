@@ -3,7 +3,8 @@
 Each file under ``tests/golden/`` is the standard output of
 ``python -m hexcount`` with the argument vector of the same name below.
 The files record the program's output once; a change that alters any of
-them changes what the tool prints.
+them changes what the tool prints.  ``row_identities_max8.txt`` is the one
+golden read elsewhere, by ``test_checks``; no other file may sit unread.
 """
 
 from pathlib import Path
@@ -62,3 +63,11 @@ def test_stdout_matches_golden(capsys, name):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def test_every_golden_is_read():
+    # a golden dropped from CASES would otherwise stop being compared without notice
+    others = {"row_identities_max8.txt": Path(__file__).with_name("test_checks.py")}
+    for name, reader in others.items():
+        assert name in reader.read_text(encoding="utf-8")
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted([f"{name}.txt" for name in CASES] + list(others))
