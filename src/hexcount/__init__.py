@@ -2,12 +2,10 @@
 
 from .arith import binomial, pochhammer
 from .bruteforce import enumerate_families, oracle_count_fixed, oracle_occupation
+from .checks import CheckRecord
 from .factorcheck import (
-    CheckRecord,
     RowIdentity,
     build_poly_matrix,
-    check_factorization,
-    check_identity,
     check_row_combination,
     factored_det_almost_central,
     factored_det_central,
@@ -65,8 +63,6 @@ __all__ = [
     "build_lgv_matrix",
     "build_poly_matrix",
     "central_pos",
-    "check_factorization",
-    "check_identity",
     "check_row_combination",
     "closed_almost_central",
     "closed_central",

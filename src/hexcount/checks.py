@@ -3,22 +3,50 @@
 Each check is one function of ``max_a`` that returns its ``CheckRecord``s
 in a fixed order; ``SUITES`` names the checks each suite runs, in order.
 To add a check, write one function here and list it in one ``SUITES``
-entry: ``verify`` prints it and the acceptance tests can call it.
+entry: ``verify`` prints it and the acceptance tests can call it.  This
+is the one module that builds records, and every public function in it is
+a check; the helpers are private.
 
 Checks reach the layers through module attributes (``pathcount.heatmap``,
-``formulas.closed_central``, ``factorcheck.check_identity``), looked up at
-call time, so a rebound layer function is what the check exercises.
+``formulas.closed_central``, ``factorcheck.check_row_combination``), looked
+up at call time, so a rebound layer function is what the check exercises.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import bruteforce, factorcheck, formulas, pathcount
-from .factorcheck import CheckRecord, RowIdentity
+from .factorcheck import RowIdentity
 from .formulas import AsymptoticInput, Method
 from .geometry import HexDims, ParityClass, almost_central_pos, central_pos
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    """One verified claim: an identity name, its parameters, and the defect."""
+
+    identity: str
+    params: Dict[str, str]
+    passed: bool
+    residual: str
+
+    def line(self) -> str:
+        parts = [self.identity]
+        parts.extend(f"{key}={value}" for key, value in self.params.items())
+        parts.append("PASS" if self.passed else "FAIL")
+        parts.append(f"residual={self.residual}")
+        return " ".join(parts)
+
+    def to_json(self) -> dict:
+        return {
+            "identity": self.identity,
+            "params": dict(self.params),
+            "pass": self.passed,
+            "residual": self.residual,
+        }
 
 
 def _cube(n: int) -> List[HexDims]:
@@ -99,19 +127,81 @@ def arcsin_symmetric(max_a: int) -> List[CheckRecord]:
     return [CheckRecord("ARCSIN_SYMMETRIC", {"point": "(1,1,1)"}, deviation <= 1e-12, f"{deviation:.3e}")]
 
 
+def _degree_bound(a: int) -> int:
+    """Upper bound for the determinant's degree in b (equally in c); the factored side's is not argued yet."""
+    return (a + 2) * (a - 1) // 2
+
+
+def _grid_values(a: int) -> range:
+    """Integer evaluation grid per axis: covers -6..6 and exceeds the degree bound."""
+    return range(-6, -6 + max(13, _degree_bound(a) + 2))
+
+
+def _check_factorization(a: int, variant: ParityClass) -> CheckRecord:
+    """Compare det with its factored closed form on the full integer grid for one a."""
+    rhs = factorcheck.factored_det_central if variant is ParityClass.CENTRAL else factorcheck.factored_det_almost_central
+    values = _grid_values(a)
+    name = f"DET_FACTOR_{variant.name}"
+    params = {"a": str(a), "grid": f"{values.start}..{values[-1]}"}
+    for b in values:
+        for c in values:
+            defect = factorcheck.det_rational(factorcheck.build_poly_matrix(a, variant, b, c)) - rhs(a, b, c)
+            if defect != 0:
+                return CheckRecord(name, {**params, "point": f"({b},{c})"}, False, str(defect))
+    return CheckRecord(name, params, True, "0")
+
+
 def det_factorizations(max_a: int) -> List[CheckRecord]:
     """Both reduced determinants equal their factored forms on full integer grids (orders 2..max_a)."""
     return [
-        factorcheck.check_factorization(a, variant)
+        _check_factorization(a, variant)
         for a in range(2, max_a + 1)
         for variant in (ParityClass.CENTRAL, ParityClass.ALMOST_CENTRAL)
     ]
 
 
+# Non-integer points never make a coefficient denominator vanish (the poles
+# sit at integers), so IDENTITY_POINTS_NEEDED of these always evaluate.
+IDENTITY_POINTS: Tuple[Fraction, ...] = (
+    Fraction(5),
+    Fraction(13, 2),
+    Fraction(23, 3),
+    Fraction(9),
+    Fraction(7, 2),
+)
+IDENTITY_POINTS_NEEDED = 3
+
+
+def _check_identity(identity: RowIdentity, a: int, k: int) -> CheckRecord:
+    """Evaluate one row combination at the first IDENTITY_POINTS_NEEDED non-singular IDENTITY_POINTS."""
+    evaluated = []
+    defect = None
+    for point in IDENTITY_POINTS:
+        if len(evaluated) == IDENTITY_POINTS_NEEDED:
+            break
+        try:
+            residual = factorcheck.check_row_combination(identity, a, k, point)
+        except factorcheck.SingularPoint:
+            continue
+        evaluated.append(point)
+        if defect is None:
+            defect = next((value for value in residual if value != 0), None)
+    params = {
+        "a": str(a),
+        "k": str(k),
+        "point": "(" + ",".join(str(p) for p in evaluated) + ")",
+    }
+    if len(evaluated) < IDENTITY_POINTS_NEEDED:
+        return CheckRecord(identity.name, params, False, "insufficient evaluation points")
+    if defect is not None:
+        return CheckRecord(identity.name, params, False, str(defect))
+    return CheckRecord(identity.name, params, True, "0")
+
+
 def row_identities(max_a: int) -> List[CheckRecord]:
     """Every row-combination identity at every admissible k holds at three points (a = 2..max_a)."""
     return [
-        factorcheck.check_identity(identity, a, k)
+        _check_identity(identity, a, k)
         for identity in RowIdentity
         for a in range(2, max_a + 1)
         for k in factorcheck.admissible_k(identity, a)
@@ -122,3 +212,19 @@ SUITES: Dict[str, Tuple[Callable[[int], List[CheckRecord]], ...]] = {
     "core": (oracle_total, oracle_box, sum_rule, routes, spots, arcsin_symmetric),
     "detfactor": (det_factorizations, row_identities),
 }
+
+
+def _run_suites(names: Sequence[str], max_a: int) -> List[CheckRecord]:
+    """The records of every check of the named suites, in order.
+
+    A check whose layer trips its own integrality or domain test is one FAIL record: its inputs are
+    internal and the caller has validated ``max_a``, so the error is the layer's defect, not the run's.
+    """
+    records = []
+    for name in names:
+        for check in SUITES[name]:
+            try:
+                records.extend(check(max_a))
+            except (ArithmeticError, ValueError) as err:
+                records.append(CheckRecord(check.__name__.upper(), {"max_a": str(max_a)}, False, str(err)))
+    return records

@@ -15,11 +15,9 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import List, Optional
 
-from . import formulas, pathcount
-from .checks import SUITES
-from .factorcheck import CheckRecord
+from . import checks, formulas, pathcount
 from .formulas import AsymptoticInput, Method
 from .geometry import HexDims, ParityClass, RhombusPos, almost_central_pos, central_pos
 from .pathcount import HeatmapGrid
@@ -38,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_sizes(raw: str) -> List[int]:
     try:
-        sizes = [int(piece) for piece in raw.split(",") if piece != ""]
+        sizes = [int(piece) for piece in raw.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"sizes must be a comma-separated integer list, got {raw!r}")
     if not sizes or any(n < 1 for n in sizes):
@@ -91,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.set_defaults(func=_cmd_converge)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites, print PASS/FAIL lines")
-    p_verify.add_argument("--suite", choices=[*SUITES, "all"], default="all")
+    p_verify.add_argument("--suite", choices=[*checks.SUITES, "all"], default="all")
     p_verify.add_argument("--max-a", type=int, default=5, dest="max_a")
     p_verify.add_argument("--json", default=None, dest="json_path", help="also write records as JSON")
     p_verify.set_defaults(func=_cmd_verify)
@@ -194,20 +192,10 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_check(check: Callable[[int], List[CheckRecord]], max_a: int) -> List[CheckRecord]:
-    # A layer that trips its own integrality or domain check fails the whole check, not the command;
-    # the check's inputs are internal and --max-a is validated before any check runs.
-    try:
-        return check(max_a)
-    except (ArithmeticError, ValueError) as err:
-        return [CheckRecord(check.__name__.upper(), {"max_a": str(max_a)}, False, str(err))]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_a < 2:
         raise ValueError(f"--max-a must be at least 2, got {args.max_a}")
-    suites = list(SUITES) if args.suite == "all" else [args.suite]
-    records = [record for suite in suites for check in SUITES[suite] for record in _run_check(check, args.max_a)]
+    records = checks._run_suites(list(checks.SUITES) if args.suite == "all" else [args.suite], args.max_a)
     for record in records:
         print(record.line())
     failures = sum(1 for record in records if not record.passed)

@@ -1,4 +1,4 @@
-"""Verification layer for the reduced polynomial determinants.
+"""Reduced polynomial determinants, their factored forms and row-combination identities.
 
 After row/column reduction, the fixed-rhombus determinant at the
 distinguished center positions boils down to an order a-1 matrix whose
@@ -10,14 +10,17 @@ with H a fixed quartic and (x, y) specialized to x = (a+b)/2 and either
 y = (a+c-1)/2 (the CENTRAL parity class) or y = (a+c)/2 (ALMOST_CENTRAL).
 4H is an integer polynomial in b, c, 2x and 2y, evaluated in the type of
 b and c (integers on the grid, Fractions at the rational identity points)
-and divided by 4 once per entry.  Two families of statements are checked:
+and divided by 4 once per entry.  Two families of statements are made:
 
 * factored closed forms for the determinants themselves (products of
-  linear factors times a terminating sum), certified by evaluating both
-  sides on integer grids larger than the degree bound, and
+  linear factors times a terminating sum), and
 * the row-combination identities behind the linear-factor divisibility
   claims: for suitable specializations c = -k or b = -k, an explicit
   weighted sum of rows vanishes.
+
+``hexcount.checks`` turns these into PASS/FAIL records.  Grid agreement
+proves a factored form only given a-priori degree bounds on both sides,
+and only the determinant's is argued (``checks._degree_bound``).
 
 Determinants clear each row's denominators and run the fraction-free
 integer engine of ``pathcount``.  The terminating sums inside the factored
@@ -30,9 +33,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .arith import Rational, half, pochhammer
 from .geometry import ParityClass
@@ -103,6 +105,8 @@ def det_rational(matrix: RatMatrix) -> Fraction:
 
 def _shared_prefactor(a: int, b: Rational, c: Rational) -> Fraction:
     """The part both factored determinants share; s = a % 2 shifts the half-integer arguments."""
+    if a < 2:
+        raise ValueError(f"requires a >= 2, got a={a}")
     s = a % 2
     return (
         math.prod(pochhammer(1 + b + c, i - 1) * math.factorial(i) for i in range(1, a))
@@ -114,8 +118,6 @@ def _shared_prefactor(a: int, b: Rational, c: Rational) -> Fraction:
 
 def factored_det_central(a: int, b: Rational, c: Rational) -> Fraction:
     """Factored closed form of det(build_poly_matrix(a, CENTRAL, b, c))."""
-    if a < 2:
-        raise ValueError(f"requires a >= 2, got a={a}")
     return (
         _shared_prefactor(a, b, c)
         * pochhammer(half(c + 1 + a % 2), a // 2)
@@ -126,8 +128,6 @@ def factored_det_central(a: int, b: Rational, c: Rational) -> Fraction:
 
 def factored_det_almost_central(a: int, b: Rational, c: Rational) -> Fraction:
     """Factored closed form of det(build_poly_matrix(a, ALMOST_CENTRAL, b, c))."""
-    if a < 2:
-        raise ValueError(f"requires a >= 2, got a={a}")
     return (
         _shared_prefactor(a, b, c)
         * pochhammer(half(c + 2 - a % 2), (a - 1) // 2)
@@ -226,95 +226,3 @@ def check_row_combination(identity: RowIdentity, a: int, k: int, free_param: Rat
         for col, entry in enumerate(matrix[i - 2]):  # rows are indexed 2..a
             residual[col] += weight * entry
     return residual
-
-
-# ---------------------------------------------------------------------------
-# Verification suite: PASS/FAIL records over grids and evaluation points.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    """One verified claim: an identity name, its parameters, and the defect."""
-
-    identity: str
-    params: Dict[str, str]
-    passed: bool
-    residual: str
-
-    def line(self) -> str:
-        parts = [self.identity]
-        parts.extend(f"{key}={value}" for key, value in self.params.items())
-        parts.append("PASS" if self.passed else "FAIL")
-        parts.append(f"residual={self.residual}")
-        return " ".join(parts)
-
-    def to_json(self) -> dict:
-        return {
-            "identity": self.identity,
-            "params": dict(self.params),
-            "pass": self.passed,
-            "residual": self.residual,
-        }
-
-
-def degree_bound(a: int) -> int:
-    """Upper bound for the determinant's degree in b (equally in c)."""
-    return (a + 2) * (a - 1) // 2
-
-
-def grid_values(a: int) -> range:
-    """Integer evaluation grid per axis: covers -6..6 and exceeds the degree bound."""
-    return range(-6, -6 + max(13, degree_bound(a) + 2))
-
-
-def check_factorization(a: int, variant: ParityClass) -> CheckRecord:
-    """Certify det == factored closed form on the full integer grid for one a."""
-    rhs = factored_det_central if variant is ParityClass.CENTRAL else factored_det_almost_central
-    values = grid_values(a)
-    name = "DET_FACTOR_CENTRAL" if variant is ParityClass.CENTRAL else "DET_FACTOR_ALMOST_CENTRAL"
-    params = {"a": str(a), "grid": f"{values.start}..{values[-1]}"}
-    for b in values:
-        for c in values:
-            defect = det_rational(build_poly_matrix(a, variant, b, c)) - rhs(a, b, c)
-            if defect != 0:
-                return CheckRecord(name, {**params, "point": f"({b},{c})"}, False, str(defect))
-    return CheckRecord(name, params, True, "0")
-
-
-# Non-integer points never make a coefficient denominator vanish (the poles
-# sit at integers), so IDENTITY_POINTS_NEEDED of these always evaluate.
-IDENTITY_POINTS: Tuple[Fraction, ...] = (
-    Fraction(5),
-    Fraction(13, 2),
-    Fraction(23, 3),
-    Fraction(9),
-    Fraction(7, 2),
-)
-IDENTITY_POINTS_NEEDED = 3
-
-
-def check_identity(identity: RowIdentity, a: int, k: int) -> CheckRecord:
-    """Evaluate one row combination at the first IDENTITY_POINTS_NEEDED non-singular IDENTITY_POINTS."""
-    evaluated = []
-    defect = None
-    for point in IDENTITY_POINTS:
-        if len(evaluated) == IDENTITY_POINTS_NEEDED:
-            break
-        try:
-            residual = check_row_combination(identity, a, k, point)
-        except SingularPoint:
-            continue
-        evaluated.append(point)
-        if defect is None:
-            defect = next((value for value in residual if value != 0), None)
-    params = {
-        "a": str(a),
-        "k": str(k),
-        "point": "(" + ",".join(str(p) for p in evaluated) + ")",
-    }
-    if len(evaluated) < IDENTITY_POINTS_NEEDED:
-        return CheckRecord(identity.name, params, False, "insufficient evaluation points")
-    if defect is not None:
-        return CheckRecord(identity.name, params, False, str(defect))
-    return CheckRecord(identity.name, params, True, "0")

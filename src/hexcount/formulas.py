@@ -273,7 +273,8 @@ def arcsin_probability(inp: AsymptoticInput) -> float:
         if ratio > 1 + 1e-12:
             raise ValueError(f"proportion ratio {ratio} escapes [0, 1]")
         ratio = 1.0  # floating-point noise only; the exact ratio never exceeds 1
-    return (2 / math.pi) * math.asin(math.sqrt(ratio))
+    # abs() drops the sign a -0.0 proportion leaves on a zero ratio, so the limit prints as 0, not -0.
+    return (2 / math.pi) * math.asin(math.sqrt(abs(ratio)))
 
 
 def nearest_dims(inp: AsymptoticInput, size: int, case: ParityClass) -> HexDims:

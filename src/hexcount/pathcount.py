@@ -16,7 +16,8 @@ displacement counts 0 even where the falling-factorial binomial would
 not vanish), which is exactly what building them as path counts gives.
 
 Determinants are computed fraction-free (Bareiss): all intermediates are
-integers, every division is exact, and row pivoting only flips the sign.
+integers, every division is exact, and a row swap negates the row it
+brings up, so pivoting leaves the determinant as it is.
 
 The heatmap needs the count at every box position at once.  Write the
 bordered matrix as [[M, u], [v^T, 0]], where M is the a x a block (the same
@@ -66,68 +67,63 @@ def _integer_copy(matrix: IntMatrix, what: str) -> IntMatrix:
     return m
 
 
-def det_fraction_free(matrix: IntMatrix) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination.
+def _eliminate(m: IntMatrix, jordan: bool) -> int:
+    """Fraction-free (Bareiss) elimination of the rows of m, in place: the determinant of its leading square.
 
-    Swaps rows to find pivots (each swap flips the sign); a fully zero
-    pivot column means the matrix is singular and the determinant is 0.
-    Entries must be integral (int, or a Fraction with denominator 1).
+    Step k pivots on column k.  A zero pivot is swapped for the first row
+    below with a nonzero entry there, negated so the determinant keeps its
+    sign; with no such row the square is singular and 0 comes back at once.
+    The step updates the rows below the pivot (every other row if
+    ``jordan``), and only in the columns right of it, since no later step
+    reads a column at or left of its own pivot.  The last pivot is the
+    determinant.
     """
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = _integer_copy(matrix, "determinant")
-    sign = 1
-    prev_pivot = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss guarantees this division is exact.
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev_pivot
-            m[i][k] = 0
-        prev_pivot = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def adjugate(matrix: IntMatrix) -> Tuple[int, IntMatrix]:
-    """Exact determinant and adjugate of a nonsingular integer matrix.
-
-    Fraction-free Gauss-Jordan elimination on [M | I]: every step updates
-    all rows but the pivot row, and each division by the previous pivot is
-    exact.  With the row swaps collected in P, the end state is
-    [det(PM) I | det(PM) M^-1]; a swap flips the sign, as in
-    ``det_fraction_free``.  Raises ``ValueError`` on a singular matrix and
-    on the inputs ``det_fraction_free`` refuses.
-    """
-    n = len(matrix)
-    m = _integer_copy(matrix, "adjugate")
-    for i, row in enumerate(m):
-        row.extend(int(i == j) for j in range(n))
-    sign = 1
+    n = len(m)
     prev_pivot = 1
     for k in range(n):
         if m[k][k] == 0:
             pivot_row = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if pivot_row is None:
-                raise ValueError("adjugate requires a nonsingular matrix")
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
+                return 0
+            m[k], m[pivot_row] = [-e for e in m[pivot_row]], m[k]
         pivot = m[k]
         p = pivot[k]
-        for i in range(n):
+        for i in range(n) if jordan else range(k + 1, n):
             if i != k:
-                f = m[i][k]
-                # Bareiss guarantees this division is exact.
-                m[i] = [(e * p - f * q) // prev_pivot for e, q in zip(m[i], pivot)]
+                row = m[i]
+                f = row[k]
+                for j in range(k + 1, len(row)):
+                    # Bareiss guarantees this division is exact.
+                    row[j] = (row[j] * p - f * pivot[j]) // prev_pivot
         prev_pivot = p
-    det = sign * prev_pivot
-    return det, [[sign * e for e in row[n:]] for row in m]
+    return prev_pivot
+
+
+def det_fraction_free(matrix: IntMatrix) -> int:
+    """Exact determinant of an integer matrix by Bareiss elimination.
+
+    A singular matrix gives 0, and the empty matrix 1.  Entries must be
+    integral (int, or a Fraction with denominator 1).
+    """
+    return _eliminate(_integer_copy(matrix, "determinant"), jordan=False)
+
+
+def adjugate(matrix: IntMatrix) -> Tuple[int, IntMatrix]:
+    """Exact determinant and adjugate of a nonsingular integer matrix.
+
+    Fraction-free Gauss-Jordan elimination on [M | I]: the negated row swaps
+    keep the determinant, so the right block ends as det(M) M^-1 = adj(M).
+    Raises ``ValueError`` on a singular matrix and on the inputs
+    ``det_fraction_free`` refuses.
+    """
+    n = len(matrix)
+    m = _integer_copy(matrix, "adjugate")
+    for i, row in enumerate(m):
+        row.extend(int(i == j) for j in range(n))
+    det = _eliminate(m, jordan=True)
+    if det == 0:
+        raise ValueError("adjugate requires a nonsingular matrix")
+    return det, [row[n:] for row in m]
 
 
 def count_fixed(dims: HexDims, pos: RhombusPos) -> int:

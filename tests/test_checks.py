@@ -4,7 +4,7 @@ import inspect
 from pathlib import Path
 
 from hexcount import checks, pathcount
-from hexcount.checks import SUITES
+from hexcount.checks import SUITES, CheckRecord
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -48,3 +48,20 @@ class TestFailures:
         records = checks.sum_rule(2)
         assert records and not any(r.passed for r in records)
         assert {r.residual for r in records} == {"1"}
+
+
+class TestCheckRecord:
+    def test_line_format(self):
+        record = CheckRecord("C_FACTOR", {"a": "3", "k": "2"}, True, "0")
+        assert record.line() == "C_FACTOR a=3 k=2 PASS residual=0"
+        failing = CheckRecord("X", {"a": "2"}, False, "1/2")
+        assert failing.line() == "X a=2 FAIL residual=1/2"
+
+    def test_json_shape(self):
+        record = CheckRecord("C_FACTOR", {"a": "3"}, True, "0")
+        assert record.to_json() == {
+            "identity": "C_FACTOR",
+            "params": {"a": "3"},
+            "pass": True,
+            "residual": "0",
+        }

@@ -190,6 +190,10 @@ class TestAsympt:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "finite" in err
 
+    def test_negative_zero_proportion_prints_zero(self, capsys):
+        code, out, err = run(capsys, "asympt", "--alpha", "-0.0", "--beta", "1", "--gamma", "1")
+        assert (code, out, err) == (0, "0\n", "")
+
 
 class TestConverge:
     def test_table_shape(self, capsys):
@@ -204,14 +208,24 @@ class TestConverge:
         assert lines[1].startswith("1,1,1,1,1/2,0.5,")
         assert lines[2].startswith("2,2,2,2,3/10,0.3,")
 
-    def test_bad_sizes_rejected(self, capsys):
-        code, _, err = run(
+    @pytest.mark.parametrize("sizes", ["3,-1", "1,,3", "5,"])
+    def test_bad_sizes_rejected(self, capsys, sizes):
+        code, out, err = run(
             capsys,
             "converge", "--alpha", "1", "--beta", "1", "--gamma", "1",
-            "--case", "central", "--sizes", "3,-1",
+            "--case", "central", "--sizes", sizes,
         )
-        assert code == 1
+        assert (code, out) == (1, "")
         assert "sizes" in err
+
+    def test_negative_zero_proportion_gives_zero_limit(self, capsys):
+        code, out, err = run(
+            capsys,
+            "converge", "--alpha", "-0.0", "--beta", "1", "--gamma", "1",
+            "--case", "central", "--sizes", "3",
+        )
+        assert (code, err) == (0, "")
+        assert out == "N,a,b,c,exact,exact_decimal,asymptotic,deviation\n3,1,3,2,2/5,0.4,0,0.4\n"
 
     def test_overflowing_proportion_rejected(self, capsys):
         code, out, err = run(

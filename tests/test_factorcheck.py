@@ -10,21 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexcount import checks, factorcheck
+from hexcount.checks import IDENTITY_POINTS
 from hexcount.factorcheck import (
-    IDENTITY_POINTS,
-    CheckRecord,
     RowIdentity,
     SingularPoint,
     admissible_k,
     build_poly_matrix,
-    check_factorization,
-    check_identity,
     check_row_combination,
-    degree_bound,
     det_rational,
     factored_det_almost_central,
     factored_det_central,
-    grid_values,
     p_poly,
 )
 from hexcount.geometry import ParityClass
@@ -213,39 +208,41 @@ class TestAdmissibleK:
 
 
 class TestSuite:
+    """The records ``hexcount.checks`` builds over this module's determinants and identities."""
+
     def test_grid_exceeds_degree_bound(self):
-        assert degree_bound(2) == 2
-        assert degree_bound(6) == 20
+        assert checks._degree_bound(2) == 2
+        assert checks._degree_bound(6) == 20
         for a in range(2, 9):
-            assert len(grid_values(a)) > degree_bound(a)
+            assert len(checks._grid_values(a)) > checks._degree_bound(a)
 
     def test_factorization_records_pass(self):
         for variant in (ParityClass.CENTRAL, ParityClass.ALMOST_CENTRAL):
-            record = check_factorization(3, variant)
+            record = checks._check_factorization(3, variant)
             assert record.passed
             assert record.params["a"] == "3"
 
     def test_identity_check_uses_enough_points(self):
-        record = check_identity(RowIdentity.C_FACTOR, 3, 2)
+        record = checks._check_identity(RowIdentity.C_FACTOR, 3, 2)
         assert record.passed
         assert len(record.params["point"].strip("()").split(",")) >= 3
 
     def test_identity_check_insufficient_points(self, monkeypatch):
-        monkeypatch.setattr(factorcheck, "IDENTITY_POINTS", (Fraction(5), Fraction(9)))
-        record = check_identity(RowIdentity.C_FACTOR, 3, 2)
+        monkeypatch.setattr(checks, "IDENTITY_POINTS", (Fraction(5), Fraction(9)))
+        record = checks._check_identity(RowIdentity.C_FACTOR, 3, 2)
         assert not record.passed
         assert record.residual == "insufficient evaluation points"
 
     def test_identity_check_skips_singular_points(self, monkeypatch):
         # a singular leading point must be skipped, not crash the check
-        monkeypatch.setattr(factorcheck, "IDENTITY_POINTS", (Fraction(-1),) + IDENTITY_POINTS)
-        record = check_identity(RowIdentity.B_FACTOR_1, 4, 0)
+        monkeypatch.setattr(checks, "IDENTITY_POINTS", (Fraction(-1),) + IDENTITY_POINTS)
+        record = checks._check_identity(RowIdentity.B_FACTOR_1, 4, 0)
         assert record.passed
         assert "-1" not in record.params["point"]
 
     def test_identity_check_rejects_inadmissible_k(self):
         with pytest.raises(ValueError, match="B_FACTOR_2 needs"):
-            check_identity(RowIdentity.B_FACTOR_2, 4, 1)
+            checks._check_identity(RowIdentity.B_FACTOR_2, 4, 1)
 
     def test_broken_coefficients_fail(self, monkeypatch):
         # p_poly enters only the B-type coefficients: every B record fails
@@ -268,20 +265,3 @@ class TestSuite:
             "B_FACTOR_2_HAT a=6 k=2 point=(5,13/2,23/3) FAIL residual=-120960",
         ]
         assert all(r.passed for r in records if r.identity.startswith("C_FACTOR"))
-
-
-class TestCheckRecord:
-    def test_line_format(self):
-        record = CheckRecord("C_FACTOR", {"a": "3", "k": "2"}, True, "0")
-        assert record.line() == "C_FACTOR a=3 k=2 PASS residual=0"
-        failing = CheckRecord("X", {"a": "2"}, False, "1/2")
-        assert failing.line() == "X a=2 FAIL residual=1/2"
-
-    def test_json_shape(self):
-        record = CheckRecord("C_FACTOR", {"a": "3"}, True, "0")
-        assert record.to_json() == {
-            "identity": "C_FACTOR",
-            "params": {"a": "3"},
-            "pass": True,
-            "residual": "0",
-        }

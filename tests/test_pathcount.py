@@ -61,6 +61,7 @@ class TestDetFractionFree:
         assert det_fraction_free([[5]]) == 5
         assert det_fraction_free([[1, 2], [3, 4]]) == -2
         assert det_fraction_free([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
+        assert det_fraction_free([]) == 1
 
     def test_singular(self):
         assert det_fraction_free([[1, 2], [2, 4]]) == 0
@@ -105,6 +106,7 @@ class TestAdjugate:
         assert adjugate([[5]]) == (5, [[1]])
         assert adjugate([[1, 2], [3, 4]]) == (-2, [[4, -2], [-3, 1]])
         assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+        assert adjugate([]) == (1, [])
 
     def test_random_matrices_against_bareiss(self):
         rng = random.Random(20261018)
