@@ -44,6 +44,10 @@ CASES = {
         "converge", "--alpha", "1", "--beta", "1", "--gamma", "1",
         "--case", "central", "--sizes", "3,5,9,15",
     ],
+    "converge_central_large": [
+        "converge", "--alpha", "1", "--beta", "0.5", "--gamma", "0.5",
+        "--case", "central", "--sizes", "5,11,21,31,41",
+    ],
     "converge_almost_central": [
         "converge", "--alpha", "1", "--beta", "2", "--gamma", "1",
         "--case", "almost-central", "--sizes", "3,5,9,15",
