@@ -12,6 +12,9 @@ conventions matter more than the formulas:
 * ``pochhammer(q, k)`` is the rising factorial q(q+1)...(q+k-1) with
   ``pochhammer(q, 0) = 1``; the shift count ``k`` must be nonnegative.
   It is one integer product reduced by one gcd, returned as a Fraction.
+* ``rising2(x, k)`` is the step-two product x(x+2)...(x+2k-2) = 2**k (x/2)_k,
+  computed in the type of ``x``: an integer for integer ``x``, so a sum of
+  half-integer rising factorials can run on integers over one power of two.
 
 Values never leave exact arithmetic here; callers decide when (if ever)
 to drop to floating point.
@@ -46,6 +49,13 @@ def pochhammer(q: Rational, k: int) -> Fraction:
         raise ValueError(f"pochhammer expects a nonnegative shift count, got {k}")
     n, d = Fraction(q).as_integer_ratio()
     return Fraction(math.prod(range(n, n + k * d, d)), d**k)
+
+
+def rising2(x: Rational, k: int) -> Rational:
+    """Step-two rising product x(x+2)...(x+2k-2) = 2**k (x/2)_k in the type of x, 1 for k = 0; k >= 0."""
+    if k < 0:
+        raise ValueError(f"rising2 expects a nonnegative factor count, got {k}")
+    return math.prod(x + 2 * j for j in range(k))
 
 
 def half(n: Rational) -> Fraction:

@@ -22,10 +22,11 @@ and divided by 4 once per entry.  Two families of statements are made:
 proves a factored form only given a-priori degree bounds on both sides,
 and only the determinant's is argued (``checks._degree_bound``).
 
-Determinants clear each row's denominators and run the fraction-free
-integer engine of ``pathcount``.  The terminating sums inside the factored
-forms are the functions ``formulas`` uses for the closed-form counts, so
-grid certification checks the code that counts.
+On the integer grid 4M is an integer matrix, because 4H is an integer
+polynomial, so ``checks`` takes det M as det(4M) / 4^(a-1) from the
+fraction-free engine of ``pathcount``.  The terminating sums inside the
+factored forms are the functions ``formulas`` uses for the closed-form
+counts, so grid certification checks the code that counts.
 Both factored forms carry the parity of a as a shift s = a % 2, not as a branch.
 """
 
@@ -36,9 +37,9 @@ import math
 from fractions import Fraction
 from typing import Dict, List
 
-from .arith import Rational, half, pochhammer
+from .arith import Rational, half, pochhammer, rising2
 from .geometry import ParityClass
-from . import formulas, pathcount
+from . import formulas
 
 RatMatrix = List[List[Fraction]]
 
@@ -87,32 +88,19 @@ def build_poly_matrix(a: int, variant: ParityClass, b: Rational, c: Rational) ->
     ]
 
 
-def det_rational(matrix: RatMatrix) -> Fraction:
-    """Exact determinant over the rationals.
-
-    Each row is scaled by the lcm of its denominators, the integer matrix
-    goes through ``det_fraction_free``, and the result is divided by the
-    product of the row scales.
-    """
-    rows = []
-    scale = 1
-    for row in matrix:
-        row_scale = math.lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (row_scale // v.denominator) for v in row])
-        scale *= row_scale
-    return Fraction(pathcount.det_fraction_free(rows), scale)
-
-
 def _shared_prefactor(a: int, b: Rational, c: Rational) -> Fraction:
-    """The part both factored determinants share; s = a % 2 shifts the half-integer arguments."""
+    """The part both factored determinants share.
+
+    Its factor 2^(a-1) (h(b+s))_{a//2} (h(b+2-s))_{(a-1)//2}, with h(x) = x/2 and s = a % 2, is
+    rising2(b+s, a//2) rising2(b+2-s, (a-1)//2): a//2 + (a-1)//2 = a-1, so the powers of two cancel.
+    """
     if a < 2:
         raise ValueError(f"requires a >= 2, got a={a}")
     s = a % 2
     return (
         math.prod(pochhammer(1 + b + c, i - 1) * math.factorial(i) for i in range(1, a))
-        * 2 ** (a - 1)
-        * pochhammer(half(b + s), a // 2)
-        * pochhammer(half(b + 2 - s), (a - 1) // 2)
+        * rising2(b + s, a // 2)
+        * rising2(b + 2 - s, (a - 1) // 2)
     )
 
 
@@ -137,15 +125,15 @@ def factored_det_almost_central(a: int, b: Rational, c: Rational) -> Fraction:
 
 
 def p_poly(n: int, c: Rational) -> Fraction:
-    """Auxiliary polynomial sequence appearing in the B-factor coefficients."""
+    """Auxiliary polynomial sequence appearing in the B-factor coefficients.
+
+    Its terms (h(1+c-n))_{n-h-1} (h(1+c-2h+n))_h share the denominator 2^(n-1), so one sum of rising2 products.
+    """
     if n < 1:
         raise ValueError(f"p_poly is defined for n >= 1, got {n}")
-    return sum(
-        (
-            pochhammer(half(1 + c - n), n - h - 1) * pochhammer(half(1 + c - 2 * h + n), h)
-            for h in range(n)
-        ),
-        Fraction(0),
+    return Fraction(
+        sum(rising2(1 + c - n, n - h - 1) * rising2(1 + c - 2 * h + n, h) for h in range(n)),
+        2 ** (n - 1),
     )
 
 

@@ -9,9 +9,10 @@ Three independent exact routes are implemented:
   for the rhombus covering (or just above) the hexagon's center, valid in
   the matching parity class.
 
-The total and the triple sum run on integers with exact divisions; the
-closed forms assemble exact rationals.  Each asserts integrality, and a
-non-integral result means the implementation (not the input) is wrong.
+The total and the triple sum run on integers with exact divisions.  The
+closed forms sum integers over one power of two and divide once by their
+prefactor's denominator.  Each asserts integrality, and a non-integral
+result means the implementation (not the input) is wrong.
 The asymptotic occupation probability of the center under proportions
 (alpha, beta, gamma) is the arcsine expression implemented by
 ``arcsin_probability``, and ``convergence_experiment`` watches the exact
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
 
-from .arith import Rational, as_integer, binomial, half, pochhammer
+from .arith import Rational, as_integer, binomial, half, rising2
 from .geometry import (
     HexDims,
     ParityClass,
@@ -131,76 +132,52 @@ def central_sum(a: int, b: Rational, c: Rational) -> Fraction:
 
     ``closed_central`` multiplies it by its prefactor, and so does the
     factored determinant in ``factorcheck``, where b and c are rational.
-    The two parities differ only in ``shift``: c+1 for odd a is c+2 for even a.
+    Each half-integer rising factorial (x/2)_k is rising2(x, k) / 2^k and
+    (1/2)_m / m! is C(2m, m) / 4^m, so term k is 4^k times a product in the
+    type of b and c, over the common denominator 16^n.  The two parities
+    differ only in s = a % 2: c+1 for odd a is c+2 for even a.
     """
-    n, shift = (a - 1) // 2, a % 2
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += (
-            pochhammer(half(c + 2 - shift), k)
-            * pochhammer(half(1 + b + c), k)
-            * pochhammer(half(c + 2 * k + 3 - shift), n - k)
-            * pochhammer(half(b + c + 2 * k + 3), n - k)
-            * pochhammer(half(1), n - k)
-            / math.factorial(n - k)
-        )
-    return acc
+    n, s = (a - 1) // 2, a % 2
+    acc = sum(
+        4**k
+        * rising2(c + 2 - s, k)
+        * rising2(1 + b + c, k)
+        * rising2(c + 2 * k + 3 - s, n - k)
+        * rising2(b + c + 2 * k + 3, n - k)
+        * math.comb(2 * (n - k), n - k)
+        for k in range(n + 1)
+    )
+    return Fraction(acc, 16**n)
 
 
 def almost_central_sum(a: int, b: Rational, c: Rational) -> Fraction:
     """The terminating sum in the almost-central closed form, either parity of a.
 
     Shared like ``central_sum`` with the factored determinant in
-    ``factorcheck``.
+    ``factorcheck``, and summed the same way over 16^n.  The parity of a
+    enters only through s = a % 2 and t = 1 - s, in the lengths and shifts.
     """
-    if a % 2 == 1:
-        head = (a - 1) // 2
-        acc = (
-            pochhammer(half(c + 1), head)
-            * pochhammer(half(b + c + 2), head)
-            * pochhammer(half(1), head)
-            / pochhammer(1, head)
-        )
-        for k in range(1, (a - 1) // 2 + 1):
-            tail = (a - 2 * k - 1) // 2
-            acc += (
-                pochhammer(half(c + 2), k - 1)
-                * pochhammer(half(b + c), k)
-                * pochhammer(half(c + 2 * k + 1), (a - 2 * k + 1) // 2)
-                * pochhammer(half(b + c + 2 * k + 2), tail)
-                * pochhammer(half(1), tail)
-                / pochhammer(1, tail)
-            )
-    else:
-        acc = (
-            pochhammer(half(c + 2), (a - 2) // 2)
-            * pochhammer(half(b + c + 2), a // 2)
-            * pochhammer(half(1), a // 2)
-            / pochhammer(1, (a - 2) // 2)
-        )
-        for k in range(1, a // 2 + 1):
-            tail = (a - 2 * k) // 2
-            acc += (
-                pochhammer(half(c + 1), k)
-                * pochhammer(half(b + c), k)
-                * pochhammer(half(c + 2 * k + 2), tail)
-                * pochhammer(half(b + c + 2 * k + 2), tail)
-                * pochhammer(half(1), tail)
-                / pochhammer(1, tail)
-            )
-    return acc
+    n, s = a // 2, a % 2
+    t = 1 - s
+    acc = (2 * n) ** t * rising2(c + 1 + t, n - t) * rising2(b + c + 2, n) * math.comb(2 * n, n)
+    acc += sum(
+        4**k
+        * rising2(c + 1 + s, k - s)
+        * rising2(b + c, k)
+        * rising2(c + 2 * k + 1 + t, n - k + s)
+        * rising2(b + c + 2 * k + 2, n - k)
+        * math.comb(2 * (n - k), n - k)
+        for k in range(1, n + 1)
+    )
+    return Fraction(acc, 16**n)
 
 
 def _closed_prefactor(dims: HexDims, top: int, q: int) -> Fraction:
     """total * c! / (b+1)_{c+a-1} * 2^(a-1) * C(top, q) * C((a+b+c-1)//2, q), shared by both closed forms."""
     a, b, c = dims.a, dims.b, dims.c
-    return (
-        Fraction(macmahon_total(dims))
-        * pochhammer(1, c)
-        / pochhammer(b + 1, c + a - 1)
-        * binomial(top, q)
-        * binomial((a + b + c - 1) // 2, q)
-        * 2 ** (a - 1)
+    return Fraction(
+        macmahon_total(dims) * math.factorial(c) * binomial(top, q) * binomial((a + b + c - 1) // 2, q) * 2 ** (a - 1),
+        math.prod(range(b + 1, b + c + a)),
     )
 
 
@@ -286,6 +263,8 @@ def nearest_dims(inp: AsymptoticInput, size: int, case: ParityClass) -> HexDims:
     """
     if case not in (ParityClass.CENTRAL, ParityClass.ALMOST_CENTRAL):
         raise ValueError(f"parity case must be CENTRAL or ALMOST_CENTRAL, got {case}")
+    if size > sys.float_info.max:  # value * size would raise OverflowError, not return inf
+        raise ValueError(f"size {size} overflows a float")
     base = []
     for name, value in zip(("alpha", "beta", "gamma"), (inp.alpha, inp.beta, inp.gamma)):
         if not math.isfinite(value * size):

@@ -12,6 +12,7 @@ from hexcount.arith import (
     binomial,
     half,
     pochhammer,
+    rising2,
 )
 
 
@@ -83,6 +84,28 @@ class TestPochhammer:
     @given(st.integers(1, 30), st.integers(0, 10))
     def test_factorial_quotient(self, n, k):
         assert pochhammer(n, k) == Fraction(math.factorial(n + k - 1), math.factorial(n - 1))
+
+
+class TestRising2:
+    def test_empty_product(self):
+        assert rising2(7, 0) == 1
+        assert rising2(Fraction(-3, 2), 0) == 1
+
+    def test_integer_steps_of_two(self):
+        value = rising2(3, 4)
+        assert value == 3 * 5 * 7 * 9 == 2**4 * pochhammer(half(3), 4) and isinstance(value, int)
+
+    def test_rational_argument_keeps_its_type(self):
+        value = rising2(Fraction(1, 3), 3)
+        assert value == Fraction(1, 3) * Fraction(7, 3) * Fraction(13, 3) and isinstance(value, Fraction)
+
+    def test_zero_factor(self):
+        assert rising2(-4, 3) == 0
+        assert rising2(-3, 3) != 0
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            rising2(3, -1)
 
 
 class TestHalf:

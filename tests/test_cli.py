@@ -236,6 +236,16 @@ class TestConverge:
         assert (code, out) == (1, "")
         assert err == "error: proportion alpha=1e+308 times size 10 overflows a float\n"
 
+    def test_size_past_the_float_range_rejected(self, capsys):
+        size = "1" + "0" * 400
+        code, out, err = run(
+            capsys,
+            "converge", "--alpha", "1", "--beta", "1", "--gamma", "1",
+            "--case", "central", "--sizes", size,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: size {size} overflows a float\n"
+
 
 class TestVerify:
     def test_core_suite_passes(self, capsys):

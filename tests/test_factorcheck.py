@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexcount import checks, factorcheck
+from hexcount import checks, factorcheck, pathcount
 from hexcount.checks import IDENTITY_POINTS
 from hexcount.factorcheck import (
     RowIdentity,
@@ -17,12 +17,27 @@ from hexcount.factorcheck import (
     admissible_k,
     build_poly_matrix,
     check_row_combination,
-    det_rational,
     factored_det_almost_central,
     factored_det_central,
     p_poly,
 )
 from hexcount.geometry import ParityClass
+
+
+def det_rational(matrix):
+    """Exact determinant over the rationals.
+
+    Each row is scaled by the lcm of its denominators, the integer matrix
+    goes through ``det_fraction_free``, and the result is divided by the
+    product of the row scales.
+    """
+    rows = []
+    scale = 1
+    for row in matrix:
+        row_scale = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (row_scale // v.denominator) for v in row])
+        scale *= row_scale
+    return Fraction(pathcount.det_fraction_free(rows), scale)
 
 
 def leibniz_det(matrix):

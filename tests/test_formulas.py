@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexcount.arith import half, pochhammer
 from hexcount.bruteforce import oracle_count_fixed
 from hexcount.formulas import (
     AsymptoticInput,
     Method,
+    almost_central_sum,
     arcsin_probability,
+    central_sum,
     closed_almost_central,
     closed_central,
     convergence_experiment,
@@ -47,6 +50,77 @@ def factorial_form(a, b, c):
     f = math.factorial
     numerator = math.prod(f(i + b + c - 1) * f(i - 1) for i in range(1, a + 1))
     return Fraction(numerator, math.prod(f(i + c - 1) * f(i + b - 1) for i in range(1, a + 1)))
+
+
+def central_sum_reference(a, b, c):
+    """The central closed form's sum as half-integer rising factorials, a Fraction chain; s = a % 2 shifts c."""
+    n, shift = (a - 1) // 2, a % 2
+    acc = Fraction(0)
+    for k in range(n + 1):
+        acc += (
+            pochhammer(half(c + 2 - shift), k)
+            * pochhammer(half(1 + b + c), k)
+            * pochhammer(half(c + 2 * k + 3 - shift), n - k)
+            * pochhammer(half(b + c + 2 * k + 3), n - k)
+            * pochhammer(half(1), n - k)
+            / math.factorial(n - k)
+        )
+    return acc
+
+
+def almost_central_sum_reference(a, b, c):
+    """The almost-central closed form's sum as half-integer rising factorials, one arm per parity of a."""
+    if a % 2 == 1:
+        head = (a - 1) // 2
+        acc = (
+            pochhammer(half(c + 1), head)
+            * pochhammer(half(b + c + 2), head)
+            * pochhammer(half(1), head)
+            / pochhammer(1, head)
+        )
+        for k in range(1, (a - 1) // 2 + 1):
+            tail = (a - 2 * k - 1) // 2
+            acc += (
+                pochhammer(half(c + 2), k - 1)
+                * pochhammer(half(b + c), k)
+                * pochhammer(half(c + 2 * k + 1), (a - 2 * k + 1) // 2)
+                * pochhammer(half(b + c + 2 * k + 2), tail)
+                * pochhammer(half(1), tail)
+                / pochhammer(1, tail)
+            )
+    else:
+        acc = (
+            pochhammer(half(c + 2), (a - 2) // 2)
+            * pochhammer(half(b + c + 2), a // 2)
+            * pochhammer(half(1), a // 2)
+            / pochhammer(1, (a - 2) // 2)
+        )
+        for k in range(1, a // 2 + 1):
+            tail = (a - 2 * k) // 2
+            acc += (
+                pochhammer(half(c + 1), k)
+                * pochhammer(half(b + c), k)
+                * pochhammer(half(c + 2 * k + 2), tail)
+                * pochhammer(half(b + c + 2 * k + 2), tail)
+                * pochhammer(half(1), tail)
+                / pochhammer(1, tail)
+            )
+    return acc
+
+
+class TestClosedFormSums:
+    @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+    def test_match_the_half_integer_references(self, rational):
+        # every a <= 25, so both parities; integer points include the negative b, c of factorcheck's grid
+        rng = random.Random(20261018 + rational)
+        for a in range(1, 26):
+            for _ in range(4):
+                if rational:
+                    b, c = (Fraction(rng.randint(-60, 60), rng.randint(2, 9)) for _ in range(2))
+                else:
+                    b, c = rng.randint(-20, 60), rng.randint(-20, 60)
+                assert central_sum(a, b, c) == central_sum_reference(a, b, c), (a, b, c)
+                assert almost_central_sum(a, b, c) == almost_central_sum_reference(a, b, c), (a, b, c)
 
 
 class TestMacmahonTotal:
@@ -265,6 +339,11 @@ class TestNearestDims:
     def test_overflowing_proportion_rejected(self):
         with pytest.raises(ValueError, match=r"proportion alpha=1e\+308 times size 10 overflows"):
             nearest_dims(AsymptoticInput(1e308, 1, 1), 10, ParityClass.CENTRAL)
+
+    def test_size_past_the_float_range_rejected(self):
+        # a float times an int too large for a float raises OverflowError instead of giving inf
+        with pytest.raises(ValueError, match=r"size 10{400} overflows a float"):
+            nearest_dims(AsymptoticInput(1, 1, 1), 10**400, ParityClass.CENTRAL)
 
 
 class TestConvergence:
